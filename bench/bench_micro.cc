@@ -13,6 +13,7 @@
 #include "common/simd.h"
 #include "common/thread_pool.h"
 #include "core/pipeline.h"
+#include "core/stages.h"
 #include "dram/ecc.h"
 #include "dram/fault.h"
 #include "features/extractor.h"
@@ -463,7 +464,8 @@ BENCHMARK(BM_ParallelGbdtFit)->Apply(thread_args)
 
 void BM_ScoreDimms(benchmark::State& state) {
   // Train once (shared across thread-count variants); time only the
-  // fleet-scale per-DIMM scoring loop — the paper's operational bottleneck.
+  // batched scoring of the held-out DIMMs' eval partition — the paper's
+  // operational bottleneck.
   static const sim::FleetTrace& fleet = feature_fleet();
   static core::Experiment* experiment = [] {
     return new core::Experiment(fleet, core::PipelineConfig{});
@@ -473,12 +475,10 @@ void BM_ScoreDimms(benchmark::State& state) {
     return fitted.second.release();
   }();
   ThreadPool::ScopedLimit cap(static_cast<int>(state.range(0)));
-  std::vector<core::ScoredStream> streams;
-  std::vector<core::AlarmOutcome> outcomes;
   for (auto _ : state) {
-    experiment->score_dimms(*model, experiment->test_dimms(), streams,
-                            outcomes, nullptr, nullptr);
-    benchmark::DoNotOptimize(streams.size());
+    const core::ScoreStreamSet scored =
+        core::score_partition(*model, experiment->test_partition());
+    benchmark::DoNotOptimize(scored.scores.data());
   }
 }
 BENCHMARK(BM_ScoreDimms)->Apply(thread_args)->Unit(benchmark::kMillisecond);

@@ -34,7 +34,7 @@ Averaged run_averaged(const sim::FleetTrace& fleet, core::Algorithm algorithm,
   int runs = 0;
   for (std::uint64_t seed : seeds) {
     core::PipelineConfig config;
-    config.seed = seed;
+    config.sampling.seed = seed;
     core::Experiment experiment(fleet, config);
     const core::Experiment::Result result = experiment.run(algorithm);
     if (!result.applicable) {

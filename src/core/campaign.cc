@@ -1,7 +1,7 @@
 #include "core/campaign.h"
 
 #include <algorithm>
-#include <bit>
+#include <array>
 #include <cstdio>
 #include <filesystem>
 #include <memory>
@@ -10,8 +10,6 @@
 #include "common/check.h"
 #include "common/logging.h"
 #include "common/thread_pool.h"
-#include "core/fleet_driver.h"
-#include "dram/geometry.h"
 #include "features/extractor.h"
 #include "ml/dataset.h"
 #include "sim/fleet.h"
@@ -51,68 +49,28 @@ double resolve_threshold(const PolicySpec& policy, double tuned) {
              : tuned * policy.tuned_scale;
 }
 
-StageCounters counter_delta(const StageCounters& before,
-                            const StageCounters& after) {
-  return {after.hits - before.hits, after.misses - before.misses};
-}
+using StageCounterSet = std::array<StageCounters, kStageCount>;
 
-}  // namespace
-
-// ---------------------------------------------------------------------------
-// ScoreStreamSet
-// ---------------------------------------------------------------------------
-
-std::vector<std::optional<SimTime>> ScoreStreamSet::first_alarms(
-    std::span<const double> thresholds) const {
-  const std::size_t n = streams();
-  const std::size_t t = thresholds.size();
-  std::vector<std::optional<SimTime>> out(n * t);
-  if (t == 0 || n == 0) return out;
-
-  // Thresholds in descending order: the set a score event latches —
-  // every still-unlatched threshold <= score — is then a contiguous range
-  // ending at the previous latch boundary, so one pass per stream latches
-  // all T thresholds with one binary search per event.
-  std::vector<std::size_t> order(t);
-  for (std::size_t i = 0; i < t; ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return thresholds[a] > thresholds[b];
-                   });
-  std::vector<double> sorted(t);
-  for (std::size_t i = 0; i < t; ++i) sorted[i] = thresholds[order[i]];
-
-  for (std::size_t s = 0; s < n; ++s) {
-    std::size_t boundary = t;  // order[boundary..t) already latched
-    for (std::size_t r = offsets[s]; r < offsets[s + 1] && boundary > 0;
-         ++r) {
-      const double score = scores[r];
-      // First index whose threshold <= score. The <= (not <) comparison is
-      // the tie rule: a score exactly at the threshold alarms, matching
-      // ScoredStream::first_alarm and the serving-layer latch.
-      const auto first = std::partition_point(
-          sorted.begin(), sorted.begin() + static_cast<std::ptrdiff_t>(boundary),
-          [&](double threshold) { return threshold > score; });
-      const auto j = static_cast<std::size_t>(first - sorted.begin());
-      for (std::size_t k = j; k < boundary; ++k) {
-        out[order[k] * n + s] = times[r];
-      }
-      boundary = j;
-    }
+StageCounterSet stage_counters(const StageCache& cache) {
+  StageCounterSet out;
+  for (std::size_t st = 0; st < kStageCount; ++st) {
+    out[st] = cache.counters(static_cast<Stage>(st));
   }
   return out;
 }
 
-ScoredStream ScoreStreamSet::stream(std::size_t s) const {
-  MEMFP_CHECK_LT(s, streams());
-  ScoredStream stream;
-  stream.times.assign(times.begin() + static_cast<std::ptrdiff_t>(offsets[s]),
-                      times.begin() + static_cast<std::ptrdiff_t>(offsets[s + 1]));
-  stream.scores.assign(
-      scores.begin() + static_cast<std::ptrdiff_t>(offsets[s]),
-      scores.begin() + static_cast<std::ptrdiff_t>(offsets[s + 1]));
-  return stream;
+/// Adds each stage's counter growth from `before` to `after` to `stats`.
+void add_counters(CampaignRunStats& stats, const StageCounterSet& before,
+                  const StageCounterSet& after) {
+  StageCounters* const out[kStageCount] = {&stats.simulate, &stats.extract,
+                                           &stats.train, &stats.score};
+  for (std::size_t st = 0; st < kStageCount; ++st) {
+    out[st]->hits += after[st].hits - before[st].hits;
+    out[st]->misses += after[st].misses - before[st].misses;
+  }
 }
+
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // Result hashing
@@ -155,7 +113,6 @@ std::uint64_t CampaignPointResult::result_hash() const {
 // ---------------------------------------------------------------------------
 
 struct CampaignEngine::FleetArtifact {
-  std::string dir;
   std::vector<std::string> shard_files;
   /// First observed-DIMM index of each shard (ascending); the decode-back
   /// lookup for the page-offline replay.
@@ -171,7 +128,6 @@ struct CampaignEngine::FleetArtifact {
   };
   std::vector<DimmMeta> dimms;  ///< observed DIMMs in id order
 
-  dram::Platform platform = dram::Platform::kIntelPurley;
   SimTime horizon = 0;
   sim::ShardStats totals;
   std::uint64_t trace_hash = sim::kFnvOffset;
@@ -183,37 +139,19 @@ struct CampaignEngine::FeatureArtifact {
   /// Downsampled + class-rebalanced training rows.
   ml::Dataset train;
 
-  /// One eval partition (validation or test) in SoA stream layout: stream i
-  /// belongs to fleet->dimms[dimm[i]]; `streams` carries offsets + times
-  /// (scores stay empty until the score stage), `x` the feature rows.
-  struct EvalSet {
-    std::vector<std::size_t> dimm;
-    ScoreStreamSet streams;
-    ml::Matrix x;
-  };
-  EvalSet val;
-  EvalSet test;
-
-  std::uint64_t feature_hash = sim::kFnvOffset;
+  /// Eval partitions: stream i belongs to fleet->dimms[dimm[i]].
+  EvalPartition val;
+  EvalPartition test;
 };
 
 struct CampaignEngine::ModelArtifact {
   std::shared_ptr<const FeatureArtifact> features;
   std::shared_ptr<const ml::BinaryClassifier> model;
-  /// Fitted-model JSON (the registry-shaped artifact); model_hash is the
-  /// FNV-1a of these bytes.
-  std::string json;
-  std::uint64_t model_hash = sim::kFnvOffset;
 };
 
 struct CampaignEngine::ScoreArtifact {
   std::shared_ptr<const ModelArtifact> model;
-  ScoreStreamSet val;
-  ScoreStreamSet test;
-  std::vector<std::size_t> val_dimm;
-  std::vector<std::size_t> test_dimm;
-  double tuned_threshold = 0.5;
-  std::uint64_t score_hash = sim::kFnvOffset;
+  ScoredEval eval;
 };
 
 // ---------------------------------------------------------------------------
@@ -247,7 +185,7 @@ std::uint64_t CampaignEngine::simulate_key(const ScenarioSpec& scenario,
 
 std::uint64_t CampaignEngine::extract_key(
     const ScenarioSpec& scenario, const EccSpec& ecc,
-    const PredictorSpec& predictor, const CampaignSampling& sampling) const {
+    const PredictorSpec& predictor, const SamplingConfig& sampling) const {
   StageKey key;
   key.mix(kExtractSalt);
   key.mix(simulate_key(scenario, ecc));
@@ -265,7 +203,7 @@ std::uint64_t CampaignEngine::extract_key(
 std::uint64_t CampaignEngine::train_key(const ScenarioSpec& scenario,
                                         const EccSpec& ecc,
                                         const PredictorSpec& predictor,
-                                        const CampaignSampling& sampling)
+                                        const SamplingConfig& sampling)
     const {
   StageKey key;
   key.mix(kTrainSalt);
@@ -286,7 +224,6 @@ CampaignEngine::run_simulate(const ScenarioSpec& scenario, const EccSpec& ecc,
   return cache.get_or_compute<FleetArtifact>(Stage::kSimulate, key, [&] {
     auto artifact = std::make_shared<FleetArtifact>();
     const sim::ScenarioParams& params = scenario.params;
-    artifact->platform = params.platform;
     artifact->horizon = params.horizon;
 
     char dirname[32];
@@ -299,14 +236,12 @@ CampaignEngine::run_simulate(const ScenarioSpec& scenario, const EccSpec& ecc,
         owned_dirs_.end()) {
       owned_dirs_.push_back(dir);
     }
-    artifact->dir = dir;
 
     sim::DimmSimParams sim_params;
     sim_params.horizon = params.horizon;
     sim_params.ecc = ecc.ecc;
     sim_params.bmc = ecc.bmc;
     const sim::DimmSimulator simulator(params.platform, sim_params);
-    const dram::Geometry geometry = dram::Geometry::ddr4_x4();
 
     sim::FleetPlanner planner(params);
     const std::size_t total = planner.plan().total();
@@ -318,42 +253,34 @@ CampaignEngine::run_simulate(const ScenarioSpec& scenario, const EccSpec& ecc,
       const std::vector<sim::PlannedDimm> jobs = planner.take(end - begin);
       if (jobs.empty()) continue;
 
-      std::vector<sim::DimmTrace> traces(jobs.size());
-      std::vector<FaultClass> classes(jobs.size(), FaultClass::kNone);
-      ThreadPool::global().parallel_for(
-          jobs.size(),
-          [&](std::size_t i) {
-            traces[i] = sim::simulate_planned_dimm(jobs[i], params, simulator,
-                                                   geometry);
-            classes[i] = dominant_fault_class(traces[i]);
-          },
-          /*grain=*/1);
-
       const std::string path =
           sim::shard_path(dir, artifact->shard_files.size());
-      sim::ShardWriter writer(path, params.platform, params.horizon);
+      const SpilledShard shard = simulate_shard(jobs, params, simulator, path,
+                                                artifact->trace_hash);
+      std::vector<FleetArtifact::DimmMeta> metas(shard.observed.size());
+      ThreadPool::global().parallel_for(
+          metas.size(),
+          [&](std::size_t i) {
+            const sim::DimmTrace& trace = shard.observed[i];
+            metas[i] = {.id = trace.id,
+                        .has_ce = !trace.ces.empty(),
+                        .has_ue = trace.has_ue(),
+                        .predictable = trace.predictable_ue(),
+                        .ue_time = trace.ue ? trace.ue->time : 0,
+                        .fault_class = dominant_fault_class(trace)};
+          },
+          /*grain=*/1);
       artifact->shard_begin.push_back(artifact->dimms.size());
-      for (std::size_t i = 0; i < traces.size(); ++i) {
-        if (!sim::enters_observed_dataset(jobs[i].kind, traces[i])) continue;
-        artifact->trace_hash =
-            sim::fnv1a_u64(artifact->trace_hash, writer.append(traces[i]));
-        FleetArtifact::DimmMeta meta;
-        meta.id = traces[i].id;
-        meta.has_ce = !traces[i].ces.empty();
-        meta.has_ue = traces[i].has_ue();
-        meta.predictable = traces[i].predictable_ue();
-        meta.ue_time = traces[i].ue ? traces[i].ue->time : 0;
-        meta.fault_class = classes[i];
-        artifact->dimms.push_back(meta);
-      }
-      artifact->totals.add(writer.finish());
+      artifact->dimms.insert(artifact->dimms.end(), metas.begin(),
+                             metas.end());
+      artifact->totals.add(shard.stats);
       artifact->shard_files.push_back(path);
     }
     MEMFP_CHECK_EQ(planner.produced(), total);
     MEMFP_INFO << "campaign simulate[" << scenario.name << "/" << ecc.name
                << "]: " << artifact->dimms.size() << " observed of " << total
                << " planned, " << artifact->totals.raw_records()
-               << " records";
+               << " records, trace hash " << artifact->trace_hash;
     return artifact;
   });
 }
@@ -361,7 +288,7 @@ CampaignEngine::run_simulate(const ScenarioSpec& scenario, const EccSpec& ecc,
 std::shared_ptr<const CampaignEngine::FeatureArtifact>
 CampaignEngine::run_extract(const ScenarioSpec& scenario, const EccSpec& ecc,
                             const PredictorSpec& predictor,
-                            const CampaignSampling& sampling,
+                            const SamplingConfig& sampling,
                             StageCache& cache) {
   const std::uint64_t key = extract_key(scenario, ecc, predictor, sampling);
   return cache.get_or_compute<FeatureArtifact>(Stage::kExtract, key, [&] {
@@ -373,133 +300,51 @@ CampaignEngine::run_extract(const ScenarioSpec& scenario, const EccSpec& ecc,
     // Train/val/test roles. The split depends on the fleet and the sampling
     // seed only — never on windows — so predictors that differ in window
     // config are still evaluated on the same held-out DIMMs. No-CE DIMMs
-    // (sudden UEs) carry no trainable telemetry and always land in test:
-    // the policy-level protocol charges their UEs to the result (class
-    // kSudden in the attribution table).
-    enum class Role : std::uint8_t { kTrain, kVal, kTest };
-    std::vector<Role> roles(fleet->dimms.size(), Role::kTest);
-    {
-      Rng split_rng(sim::fnv1a_u64(simulate_key(scenario, ecc),
-                                   sampling.seed));
-      std::vector<dram::DimmId> positive_ids, negative_ids;
-      for (const FleetArtifact::DimmMeta& meta : fleet->dimms) {
-        if (!meta.has_ce) continue;
-        (meta.predictable ? positive_ids : negative_ids).push_back(meta.id);
-      }
-      const ml::DimmSplit split = ml::split_dimms(
-          positive_ids, negative_ids, sampling.test_fraction, split_rng);
-      std::vector<dram::DimmId> test_sorted = split.test;
-      std::sort(test_sorted.begin(), test_sorted.end());
-
-      std::vector<dram::DimmId> train_pos, train_neg;
-      for (std::size_t i = 0; i < fleet->dimms.size(); ++i) {
-        const FleetArtifact::DimmMeta& meta = fleet->dimms[i];
-        if (!meta.has_ce) continue;  // stays kTest
-        if (std::binary_search(test_sorted.begin(), test_sorted.end(),
-                               meta.id)) {
-          continue;  // stays kTest
-        }
-        roles[i] = Role::kTrain;
-        (meta.predictable ? train_pos : train_neg).push_back(meta.id);
-      }
-      const ml::DimmSplit val_split = ml::split_dimms(
-          train_pos, train_neg, sampling.validation_fraction, split_rng);
-      std::vector<dram::DimmId> val_sorted = val_split.test;
-      std::sort(val_sorted.begin(), val_sorted.end());
-      for (std::size_t i = 0; i < fleet->dimms.size(); ++i) {
-        if (roles[i] == Role::kTrain &&
-            std::binary_search(val_sorted.begin(), val_sorted.end(),
-                               fleet->dimms[i].id)) {
-          roles[i] = Role::kVal;
-        }
-      }
+    // (sudden UEs) carry no trainable telemetry and are evaluated with the
+    // test DIMMs: the policy-level protocol charges their UEs to the result
+    // (class kSudden in the attribution table).
+    std::vector<SplitDimm> split;
+    for (const FleetArtifact::DimmMeta& meta : fleet->dimms) {
+      split.push_back({meta.id, meta.has_ce, meta.predictable});
     }
+    Rng split_rng(sim::fnv1a_u64(simulate_key(scenario, ecc), sampling.seed));
+    const std::vector<DimmRole> roles =
+        split_dimm_roles(split, sampling, split_rng);
 
     const features::FeatureExtractor train_extractor(predictor.windows);
     features::PredictionWindows eval_windows = predictor.windows;
     eval_windows.cadence = predictor.eval_cadence;
     const features::FeatureExtractor eval_extractor(eval_windows);
 
-    features::SampleSet train_set;
-    train_set.schema = train_extractor.schema();
+    SplitPartitions parts;
     Rng sample_rng(sim::fnv1a_u64(key, 0x5a3fULL));
-
-    const auto append_eval = [](FeatureArtifact::EvalSet& set, std::size_t g,
-                                const std::vector<features::Sample>& samples) {
-      set.dimm.push_back(g);
-      for (const features::Sample& sample : samples) {
-        set.streams.times.push_back(sample.time);
-        set.x.push_row(sample.features);
-      }
-      set.streams.offsets.push_back(set.streams.times.size());
-    };
-
-    // Stream each shard back: extract per DIMM in parallel slots, fold in
-    // id order. Extraction draws no RNG, so the fan-out cannot disturb
-    // sample_rng's draw sequence (the pipeline's determinism argument).
+    // Stream each shard back and fold it in id order.
     std::size_t base = 0;
     for (const std::string& path : fleet->shard_files) {
-      const sim::TraceReader reader(path);
-      const std::size_t count = reader.dimm_count();
-      std::vector<std::vector<features::Sample>> slots(count);
-      ThreadPool::global().parallel_for(
-          count,
-          [&](std::size_t i) {
-            const features::FeatureExtractor& extractor =
-                roles[base + i] == Role::kTrain ? train_extractor
-                                                : eval_extractor;
-            slots[i] = extractor.extract(reader.read_dimm(i), fleet->horizon);
-          },
-          /*grain=*/1);
-      for (std::size_t i = 0; i < count; ++i) {
+      std::vector<std::vector<features::Sample>> slots = extract_shard(
+          path, fleet->horizon,
+          [&](std::size_t i) -> const features::FeatureExtractor& {
+            return roles[base + i] == DimmRole::kTrain ? train_extractor
+                                                       : eval_extractor;
+          });
+      for (std::size_t i = 0; i < slots.size(); ++i) {
         const std::size_t g = base + i;
-        std::vector<features::Sample> samples = std::move(slots[i]);
+        const FleetArtifact::DimmMeta& meta = fleet->dimms[g];
+        parts.add(roles[g], g,
+                  {.positive = meta.predictable,
+                   .ue_time = meta.ue_time,
+                   .alarm = std::nullopt},
+                  std::move(slots[i]), sampling, sample_rng);
         slots[i].clear();
-        for (const features::Sample& sample : samples) {
-          artifact->feature_hash =
-              fold_sample_hash(artifact->feature_hash, sample);
-        }
-        switch (roles[g]) {
-          case Role::kTrain: {
-            // Per-DIMM downsampling before pooling (the pipeline's memory
-            // discipline): negatives uniformly, positives keep the latest.
-            std::vector<features::Sample> positives, negatives;
-            for (features::Sample& sample : samples) {
-              if (sample.label == 1) positives.push_back(std::move(sample));
-              else if (sample.label == 0) negatives.push_back(std::move(sample));
-            }
-            if (negatives.size() > sampling.max_negatives_per_dimm) {
-              sample_rng.shuffle(negatives);
-              negatives.resize(sampling.max_negatives_per_dimm);
-            }
-            if (positives.size() > sampling.max_positives_per_dimm) {
-              positives.erase(
-                  positives.begin(),
-                  positives.end() -
-                      static_cast<std::ptrdiff_t>(
-                          sampling.max_positives_per_dimm));
-            }
-            for (features::Sample& sample : negatives) {
-              train_set.samples.push_back(std::move(sample));
-            }
-            for (features::Sample& sample : positives) {
-              train_set.samples.push_back(std::move(sample));
-            }
-            break;
-          }
-          case Role::kVal:
-            append_eval(artifact->val, g, samples);
-            break;
-          case Role::kTest:
-            append_eval(artifact->test, g, samples);
-            break;
-        }
       }
-      base += count;
+      base += slots.size();
     }
     MEMFP_CHECK_EQ(base, fleet->dimms.size());
 
-    artifact->train = ml::make_dataset(train_set);
+    artifact->train = ml::make_dataset(
+        features::SampleSet{train_extractor.schema(), std::move(parts.train)});
+    artifact->val = std::move(parts.val);
+    artifact->test = std::move(parts.test);
     ml::rebalance_weights(artifact->train, sampling.positive_weight_share);
     MEMFP_INFO << "campaign extract[" << scenario.name << "/" << ecc.name
                << "/" << predictor.name << "]: " << artifact->train.size()
@@ -511,7 +356,7 @@ CampaignEngine::run_extract(const ScenarioSpec& scenario, const EccSpec& ecc,
 
 std::shared_ptr<const CampaignEngine::ModelArtifact> CampaignEngine::run_train(
     const ScenarioSpec& scenario, const EccSpec& ecc,
-    const PredictorSpec& predictor, const CampaignSampling& sampling,
+    const PredictorSpec& predictor, const SamplingConfig& sampling,
     StageCache& cache) {
   const std::uint64_t key = train_key(scenario, ecc, predictor, sampling);
   return cache.get_or_compute<ModelArtifact>(Stage::kTrain, key, [&] {
@@ -529,9 +374,6 @@ std::shared_ptr<const CampaignEngine::ModelArtifact> CampaignEngine::run_train(
     // on any path.
     Rng rng(sim::fnv1a_u64(key, predictor.train_seed));
     model->fit(features->train, rng);
-    artifact->json = model->to_json().dump();
-    artifact->model_hash = sim::fnv1a_bytes(
-        sim::kFnvOffset, artifact->json.data(), artifact->json.size());
     artifact->model = std::move(model);
     return artifact;
   });
@@ -539,7 +381,7 @@ std::shared_ptr<const CampaignEngine::ModelArtifact> CampaignEngine::run_train(
 
 std::shared_ptr<const CampaignEngine::ScoreArtifact> CampaignEngine::run_score(
     const ScenarioSpec& scenario, const EccSpec& ecc,
-    const PredictorSpec& predictor, const CampaignSampling& sampling,
+    const PredictorSpec& predictor, const SamplingConfig& sampling,
     StageCache& cache) {
   const std::uint64_t key = train_key(scenario, ecc, predictor, sampling);
   return cache.get_or_compute<ScoreArtifact>(Stage::kScore, key, [&] {
@@ -549,39 +391,11 @@ std::shared_ptr<const CampaignEngine::ScoreArtifact> CampaignEngine::run_score(
     auto artifact = std::make_shared<ScoreArtifact>();
     artifact->model = model;
 
-    const auto score_partition = [&](const FeatureArtifact::EvalSet& in,
-                                     ScoreStreamSet& out) {
-      out.offsets = in.streams.offsets;
-      out.times = in.streams.times;
-      // predict_batch is contractually bit-identical to the serial walk at
-      // any thread count, so the cached score artifact is too.
-      out.scores = model->model->predict_batch(in.x);
-      MEMFP_CHECK_EQ(out.scores.size(), out.times.size());
-      for (const double score : out.scores) {
-        artifact->score_hash = sim::fnv1a_u64(
-            artifact->score_hash, std::bit_cast<std::uint64_t>(score));
-      }
-    };
-    score_partition(parts.val, artifact->val);
-    score_partition(parts.test, artifact->test);
-    artifact->val_dimm = parts.val.dimm;
-    artifact->test_dimm = parts.test.dimm;
-
     // Tune the F1 threshold on the validation fold (model-level positives:
     // predictable UEs), once per score artifact — every policy deriving
     // its threshold from the tuned point reuses this value.
-    const std::size_t val_streams = artifact->val.streams();
-    std::vector<ScoredStream> streams(val_streams);
-    std::vector<AlarmOutcome> outcomes(val_streams);
-    for (std::size_t i = 0; i < val_streams; ++i) {
-      streams[i] = artifact->val.stream(i);
-      const FleetArtifact::DimmMeta& meta =
-          parts.fleet->dimms[artifact->val_dimm[i]];
-      outcomes[i].positive = meta.predictable;
-      outcomes[i].ue_time = meta.ue_time;
-    }
-    artifact->tuned_threshold =
-        tune_threshold(streams, outcomes, predictor.windows);
+    artifact->eval =
+        score_eval(*model->model, parts.val, parts.test, predictor.windows);
     return artifact;
   });
 }
@@ -593,13 +407,14 @@ std::shared_ptr<const CampaignEngine::ScoreArtifact> CampaignEngine::run_score(
 std::vector<std::pair<std::size_t, sim::DimmTrace>>
 CampaignEngine::load_ue_test_traces(const ScoreArtifact& scored) const {
   const FleetArtifact& fleet = *scored.model->features->fleet;
+  const std::vector<std::size_t>& test_dimm = scored.model->features->test.dimm;
   std::vector<std::pair<std::size_t, sim::DimmTrace>> traces;
   std::unique_ptr<sim::TraceReader> reader;
   std::size_t open_shard = fleet.shard_files.size();
   // test_dimm is ascending (streams were appended in id order), so each
   // shard is opened at most once.
-  for (std::size_t i = 0; i < scored.test_dimm.size(); ++i) {
-    const std::size_t g = scored.test_dimm[i];
+  for (std::size_t i = 0; i < test_dimm.size(); ++i) {
+    const std::size_t g = test_dimm[i];
     if (!fleet.dimms[g].has_ue) continue;
     const auto it = std::upper_bound(fleet.shard_begin.begin(),
                                      fleet.shard_begin.end(), g);
@@ -633,12 +448,13 @@ CampaignPointResult CampaignEngine::evaluate_policy(
                predictor.name + "/" + policy.name;
   point.threshold = threshold;
 
-  const std::size_t n = scored.test.streams();
+  const std::size_t n = scored.eval.test.streams();
   MEMFP_CHECK_EQ(alarms.size(), n);
   std::vector<AlarmOutcome> outcomes(n);
   std::vector<FaultClass> classes(n);
   for (std::size_t i = 0; i < n; ++i) {
-    const FleetArtifact::DimmMeta& meta = fleet.dimms[scored.test_dimm[i]];
+    const FleetArtifact::DimmMeta& meta =
+        fleet.dimms[scored.model->features->test.dimm[i]];
     // Policy-level ground truth: any UE counts, including sudden ones the
     // predictor cannot see (their empty streams never alarm → FN, charged
     // to class kSudden in the attribution table).
@@ -707,9 +523,7 @@ CampaignResult CampaignEngine::run(const CampaignSpec& spec) {
   result.stats.points = spec.points();
 
   if (config_.share_stages) {
-    const StageCounters before[kStageCount] = {
-        cache_.counters(Stage::kSimulate), cache_.counters(Stage::kExtract),
-        cache_.counters(Stage::kTrain), cache_.counters(Stage::kScore)};
+    const StageCounterSet before = stage_counters(cache_);
     for (std::size_t s = 0; s < spec.scenarios.size(); ++s) {
       for (std::size_t e = 0; e < spec.eccs.size(); ++e) {
         for (std::size_t p = 0; p < spec.predictors.size(); ++p) {
@@ -722,13 +536,13 @@ CampaignResult CampaignEngine::run(const CampaignSpec& spec) {
           thresholds.reserve(spec.policies.size());
           for (const PolicySpec& policy : spec.policies) {
             thresholds.push_back(
-                resolve_threshold(policy, scored->tuned_threshold));
+                resolve_threshold(policy, scored->eval.threshold));
           }
           const std::vector<std::optional<SimTime>> alarms =
-              scored->test.first_alarms(thresholds);
+              scored->eval.test.first_alarms(thresholds);
           ++result.stats.policy_sweeps;
           const auto ue_traces = load_ue_test_traces(*scored);
-          const std::size_t n = scored->test.streams();
+          const std::size_t n = scored->eval.test.streams();
           for (std::size_t q = 0; q < spec.policies.size(); ++q) {
             result.points.push_back(evaluate_policy(
                 spec, s, e, p, q, *scored, thresholds[q],
@@ -737,14 +551,7 @@ CampaignResult CampaignEngine::run(const CampaignSpec& spec) {
         }
       }
     }
-    result.stats.simulate =
-        counter_delta(before[0], cache_.counters(Stage::kSimulate));
-    result.stats.extract =
-        counter_delta(before[1], cache_.counters(Stage::kExtract));
-    result.stats.train =
-        counter_delta(before[2], cache_.counters(Stage::kTrain));
-    result.stats.score =
-        counter_delta(before[3], cache_.counters(Stage::kScore));
+    add_counters(result.stats, before, stage_counters(cache_));
   } else {
     // Naive per-config pipeline: a fresh cache per point re-runs every
     // stage, and the policy is evaluated by a scalar per-threshold replay.
@@ -757,27 +564,17 @@ CampaignResult CampaignEngine::run(const CampaignSpec& spec) {
                 spec.scenarios[s], spec.eccs[e], spec.predictors[p],
                 spec.sampling, local);
             const double threshold = resolve_threshold(
-                spec.policies[q], scored->tuned_threshold);
-            const std::size_t n = scored->test.streams();
+                spec.policies[q], scored->eval.threshold);
+            const std::size_t n = scored->eval.test.streams();
             std::vector<std::optional<SimTime>> alarms(n);
             for (std::size_t i = 0; i < n; ++i) {
-              alarms[i] = scored->test.stream(i).first_alarm(threshold);
+              alarms[i] = scored->eval.test.stream(i).first_alarm(threshold);
             }
             ++result.stats.policy_sweeps;
             const auto ue_traces = load_ue_test_traces(*scored);
             result.points.push_back(evaluate_policy(
                 spec, s, e, p, q, *scored, threshold, alarms, ue_traces));
-            for (std::size_t st = 0; st < kStageCount; ++st) {
-              const StageCounters& c =
-                  local.counters(static_cast<Stage>(st));
-              StageCounters& out =
-                  st == 0 ? result.stats.simulate
-                          : st == 1 ? result.stats.extract
-                                    : st == 2 ? result.stats.train
-                                              : result.stats.score;
-              out.hits += c.hits;
-              out.misses += c.misses;
-            }
+            add_counters(result.stats, {}, stage_counters(local));
           }
         }
       }

@@ -38,6 +38,7 @@
 #include "core/fault_analysis.h"
 #include "core/pipeline.h"
 #include "core/stage_cache.h"
+#include "core/stages.h"
 #include "features/windows.h"
 #include "ml/metrics.h"
 #include "mlops/alarm.h"
@@ -93,55 +94,20 @@ struct PolicySpec {
   mlops::MitigationPolicy mitigation;
 };
 
-/// Split/downsampling parameters shared by every point (not a sweep axis).
-struct CampaignSampling {
-  double test_fraction = 0.30;
-  double validation_fraction = 0.25;
-  std::size_t max_negatives_per_dimm = 6;
-  std::size_t max_positives_per_dimm = 12;
-  double positive_weight_share = 0.25;
-  std::uint64_t seed = 13;
-};
-
 struct CampaignSpec {
   std::string name = "campaign";
   std::vector<ScenarioSpec> scenarios;
   std::vector<EccSpec> eccs;
   std::vector<PredictorSpec> predictors;
   std::vector<PolicySpec> policies;
-  CampaignSampling sampling;
+  /// Split/downsampling parameters shared by every point (not a sweep
+  /// axis).
+  SamplingConfig sampling;
 
   std::size_t points() const {
     return scenarios.size() * eccs.size() * predictors.size() *
            policies.size();
   }
-};
-
-// ---------------------------------------------------------------------------
-// Score streams (SoA) and the vectorized threshold sweep
-// ---------------------------------------------------------------------------
-
-/// Per-DIMM score streams in flat SoA layout (flat_ensemble-style): stream s
-/// owns [offsets[s], offsets[s+1]) of `times`/`scores`. This is the cached
-/// score artifact the whole policy axis evaluates against.
-struct ScoreStreamSet {
-  std::vector<std::size_t> offsets{0};
-  std::vector<SimTime> times;
-  std::vector<double> scores;
-
-  std::size_t streams() const { return offsets.size() - 1; }
-
-  /// First alarm of every (threshold, stream) pair in ONE pass per stream:
-  /// thresholds are visited in descending order, so the set a score event
-  /// latches is always a contiguous suffix and each event costs one binary
-  /// search. Output is indexed out[t * streams() + s]. Tie rule: a score
-  /// exactly at the threshold alarms (score >= threshold), identical to
-  /// ScoredStream::first_alarm and the serving-layer latch.
-  std::vector<std::optional<SimTime>> first_alarms(
-      std::span<const double> thresholds) const;
-
-  /// AoS view of one stream (the scalar/naive path and tune_threshold).
-  ScoredStream stream(std::size_t s) const;
 };
 
 // ---------------------------------------------------------------------------
@@ -225,18 +191,16 @@ class CampaignEngine {
   /// end and returns byte-identical results.
   CampaignResult run(const CampaignSpec& spec);
 
-  const StageCache& cache() const { return cache_; }
-
   /// Stage keys exposed for the perturbation tests: which artifacts two
   /// specs share is exactly which keys collide.
   std::uint64_t simulate_key(const ScenarioSpec& scenario,
                              const EccSpec& ecc) const;
   std::uint64_t extract_key(const ScenarioSpec& scenario, const EccSpec& ecc,
                             const PredictorSpec& predictor,
-                            const CampaignSampling& sampling) const;
+                            const SamplingConfig& sampling) const;
   std::uint64_t train_key(const ScenarioSpec& scenario, const EccSpec& ecc,
                           const PredictorSpec& predictor,
-                          const CampaignSampling& sampling) const;
+                          const SamplingConfig& sampling) const;
 
  private:
   struct FleetArtifact;
@@ -248,15 +212,15 @@ class CampaignEngine {
       const ScenarioSpec& scenario, const EccSpec& ecc, StageCache& cache);
   std::shared_ptr<const FeatureArtifact> run_extract(
       const ScenarioSpec& scenario, const EccSpec& ecc,
-      const PredictorSpec& predictor, const CampaignSampling& sampling,
+      const PredictorSpec& predictor, const SamplingConfig& sampling,
       StageCache& cache);
   std::shared_ptr<const ModelArtifact> run_train(
       const ScenarioSpec& scenario, const EccSpec& ecc,
-      const PredictorSpec& predictor, const CampaignSampling& sampling,
+      const PredictorSpec& predictor, const SamplingConfig& sampling,
       StageCache& cache);
   std::shared_ptr<const ScoreArtifact> run_score(
       const ScenarioSpec& scenario, const EccSpec& ecc,
-      const PredictorSpec& predictor, const CampaignSampling& sampling,
+      const PredictorSpec& predictor, const SamplingConfig& sampling,
       StageCache& cache);
 
   /// UE-bearing test DIMMs decoded back from the simulate shards, as

@@ -38,21 +38,70 @@ std::optional<SimTime> ScoredStream::first_alarm(double threshold) const {
   return std::nullopt;
 }
 
-double ScoredStream::max_score() const {
-  double best = 0.0;
-  for (double s : scores) best = std::max(best, s);
-  return best;
+std::vector<std::optional<SimTime>> ScoreStreamSet::first_alarms(
+    std::span<const double> thresholds) const {
+  const std::size_t n = streams();
+  const std::size_t t = thresholds.size();
+  std::vector<std::optional<SimTime>> out(n * t);
+  if (t == 0 || n == 0) return out;
+
+  // Thresholds in descending order: the set a score event latches —
+  // every still-unlatched threshold <= score — is then a contiguous range
+  // ending at the previous latch boundary, so one pass per stream latches
+  // all T thresholds with one binary search per event.
+  std::vector<std::size_t> order(t);
+  for (std::size_t i = 0; i < t; ++i) order[i] = i;
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return thresholds[a] > thresholds[b];
+                   });
+  std::vector<double> sorted(t);
+  for (std::size_t i = 0; i < t; ++i) sorted[i] = thresholds[order[i]];
+
+  for (std::size_t s = 0; s < n; ++s) {
+    std::size_t boundary = t;  // order[boundary..t) already latched
+    for (std::size_t r = offsets[s]; r < offsets[s + 1] && boundary > 0;
+         ++r) {
+      const double score = scores[r];
+      // First index whose threshold <= score. The <= (not <) comparison is
+      // the tie rule: a score exactly at the threshold alarms, matching
+      // ScoredStream::first_alarm and the serving-layer latch.
+      const auto first = std::partition_point(
+          sorted.begin(), sorted.begin() + static_cast<std::ptrdiff_t>(boundary),
+          [&](double threshold) { return threshold > score; });
+      const auto j = static_cast<std::size_t>(first - sorted.begin());
+      for (std::size_t k = j; k < boundary; ++k) {
+        out[order[k] * n + s] = times[r];
+      }
+      boundary = j;
+    }
+  }
+  return out;
 }
 
-double tune_threshold(const std::vector<ScoredStream>& streams,
+ScoredStream ScoreStreamSet::stream(std::size_t s) const {
+  MEMFP_CHECK_LT(s, streams());
+  ScoredStream stream;
+  stream.times.assign(times.begin() + static_cast<std::ptrdiff_t>(offsets[s]),
+                      times.begin() + static_cast<std::ptrdiff_t>(offsets[s + 1]));
+  stream.scores.assign(
+      scores.begin() + static_cast<std::ptrdiff_t>(offsets[s]),
+      scores.begin() + static_cast<std::ptrdiff_t>(offsets[s + 1]));
+  return stream;
+}
+
+double tune_threshold(const ScoreStreamSet& streams,
                       const std::vector<AlarmOutcome>& outcomes_template,
                       const features::PredictionWindows& windows) {
-  MEMFP_CHECK_EQ(streams.size(), outcomes_template.size());
+  MEMFP_CHECK_EQ(streams.streams(), outcomes_template.size());
   // Candidate thresholds: the distinct per-DIMM maxima (every alarm-set
   // change happens at one of them), probed just below each value.
   std::vector<double> candidates;
-  for (const ScoredStream& stream : streams) {
-    const double m = stream.max_score();
+  for (std::size_t s = 0; s < streams.streams(); ++s) {
+    double m = 0.0;
+    for (std::size_t r = streams.offsets[s]; r < streams.offsets[s + 1]; ++r) {
+      m = std::max(m, streams.scores[r]);
+    }
     if (m > 0.0) candidates.push_back(m);
   }
   std::sort(candidates.begin(), candidates.end());
@@ -65,8 +114,10 @@ double tune_threshold(const std::vector<ScoredStream>& streams,
   double best_f1 = -1.0;
   for (double candidate : candidates) {
     const double threshold = candidate - 1e-9;
-    for (std::size_t i = 0; i < streams.size(); ++i) {
-      outcomes[i].alarm = streams[i].first_alarm(threshold);
+    const std::vector<std::optional<SimTime>> alarms =
+        streams.first_alarms(std::span(&threshold, 1));
+    for (std::size_t i = 0; i < outcomes.size(); ++i) {
+      outcomes[i].alarm = alarms[i];
     }
     const ml::Confusion c = dimm_confusion(outcomes, windows);
     // Laplace-smoothed F1: validation folds hold only a handful of positive

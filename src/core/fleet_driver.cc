@@ -9,7 +9,6 @@
 #include "common/check.h"
 #include "common/logging.h"
 #include "common/thread_pool.h"
-#include "dram/geometry.h"
 #include "ml/dataset.h"
 
 namespace memfp::core {
@@ -36,11 +35,8 @@ void fold_scores(const ml::BinaryClassifier* model, const ml::Matrix& x,
   // at any thread count, so batching per shard (here) vs per fleet (the
   // reference) cannot change a single score bit.
   const std::vector<double> scores = model->predict_batch(x);
-  for (const double score : scores) {
-    result.score_hash =
-        sim::fnv1a_u64(result.score_hash, std::bit_cast<std::uint64_t>(score));
-    result.score_sum += score;
-  }
+  result.score_hash = fold_score_hash(result.score_hash, scores);
+  for (const double score : scores) result.score_sum += score;
 }
 
 }  // namespace
@@ -56,7 +52,6 @@ FleetDriverResult run_fleet_driver(const sim::ScenarioParams& params,
   sim::DimmSimParams effective = sim_params;
   effective.horizon = params.horizon;
   const sim::DimmSimulator simulator(params.platform, effective);
-  const dram::Geometry geometry = dram::Geometry::ddr4_x4();
   const features::FeatureExtractor extractor(config.windows);
 
   ThreadPool::ScopedLimit limit(config.num_threads);
@@ -76,27 +71,12 @@ FleetDriverResult run_fleet_driver(const sim::ScenarioParams& params,
     const std::vector<sim::PlannedDimm> jobs = planner.take(end - begin);
     if (jobs.empty()) continue;
 
-    // Simulate the shard into index slots (one task per DIMM, as the
-    // in-memory builder does).
-    std::vector<sim::DimmTrace> traces(jobs.size());
-    ThreadPool::global().parallel_for(
-        jobs.size(),
-        [&](std::size_t i) {
-          traces[i] =
-              sim::simulate_planned_dimm(jobs[i], params, simulator, geometry);
-        },
-        /*grain=*/1);
-
-    // Encode + spill the observed DIMMs in id order, folding the canonical
-    // trace hash as the bytes go out.
+    // Simulate the shard and spill its observed DIMMs, then drop the
+    // residents: from here on the shard is read back from its encoded form,
+    // exactly as a later training run would.
     const std::string path = sim::shard_path(config.store_dir, s);
-    sim::ShardWriter writer(path, params.platform, params.horizon);
-    for (std::size_t i = 0; i < traces.size(); ++i) {
-      if (!sim::enters_observed_dataset(jobs[i].kind, traces[i])) continue;
-      result.trace_hash =
-          sim::fnv1a_u64(result.trace_hash, writer.append(traces[i]));
-    }
-    const sim::ShardStats stats = writer.finish();
+    const sim::ShardStats stats =
+        simulate_shard(jobs, params, simulator, path, result.trace_hash).stats;
     result.observed_dimms += stats.dimms;
     result.ce_records += stats.ce_records;
     result.mem_events += stats.mem_events;
@@ -104,19 +84,11 @@ FleetDriverResult run_fleet_driver(const sim::ScenarioParams& params,
     result.suppressed_ces += stats.suppressed_ces;
     result.encoded_bytes += stats.file_bytes;
 
-    // Drop the simulated residents: from here on the shard is read back
-    // from its encoded form, exactly as a later training run would.
-    traces.clear();
-    traces.shrink_to_fit();
-
-    const sim::TraceReader reader(path);
-    std::vector<std::vector<features::Sample>> samples(reader.dimm_count());
-    ThreadPool::global().parallel_for(
-        reader.dimm_count(),
-        [&](std::size_t i) {
-          samples[i] = extractor.extract(reader.read_dimm(i), params.horizon);
-        },
-        /*grain=*/1);
+    const std::vector<std::vector<features::Sample>> samples = extract_shard(
+        path, params.horizon,
+        [&](std::size_t) -> const features::FeatureExtractor& {
+          return extractor;
+        });
 
     // Fold features and score the shard in one flat batch, in id order.
     ml::Matrix x;

@@ -28,6 +28,7 @@
 #include <string>
 #include <vector>
 
+#include "core/stages.h"
 #include "features/extractor.h"
 #include "ml/model.h"
 #include "sim/fleet.h"

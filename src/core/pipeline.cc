@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "baseline/risky_ce_pattern.h"
+#include "common/check.h"
 #include "common/logging.h"
 #include "common/thread_pool.h"
 #include "ml/ft_transformer.h"
@@ -52,209 +53,106 @@ features::PredictionWindows with_cadence(features::PredictionWindows windows,
 }  // namespace
 
 Experiment::Experiment(const sim::FleetTrace& fleet, PipelineConfig config)
-    : fleet_(&fleet),
-      config_(config),
-      train_extractor_(config.windows),
-      eval_extractor_(with_cadence(config.windows, config.eval_cadence)) {
-  Rng rng(config_.seed);
+    : fleet_(&fleet), config_(std::move(config)) {
+  const features::FeatureExtractor train_extractor(config_.windows);
+  const features::FeatureExtractor eval_extractor(
+      with_cadence(config_.windows, config_.eval_cadence));
+  const std::size_t width = train_extractor.schema().size();
+  for (const std::size_t col : config_.active_features) {
+    MEMFP_CHECK_LT(col, width)
+        << "PipelineConfig::active_features: column " << col
+        << " is outside the " << width << "-column feature schema";
+  }
 
-  // Eligible DIMMs: those with CE telemetry. Sudden-UE DIMMs have no
-  // predictive data and are excluded (paper Section III).
-  std::vector<dram::DimmId> positive_ids, negative_ids;
-  std::vector<const sim::DimmTrace*> by_position;
+  Rng rng(config_.sampling.seed);
+  std::vector<SplitDimm> split;
   for (const sim::DimmTrace& dimm : fleet.dimms) {
-    if (dimm.ces.empty()) continue;
-    (dimm.predictable_ue() ? positive_ids : negative_ids).push_back(dimm.id);
-    by_position.push_back(&dimm);
+    split.push_back({dimm.id, !dimm.ces.empty(), dimm.predictable_ue()});
   }
-  const ml::DimmSplit split = ml::split_dimms(
-      positive_ids, negative_ids, config_.test_fraction, rng);
+  roles_ = split_dimm_roles(split, config_.sampling, rng);
 
-  std::vector<bool> is_test_lookup;
-  {
-    std::vector<dram::DimmId> test_sorted = split.test;
-    std::sort(test_sorted.begin(), test_sorted.end());
-    for (const sim::DimmTrace* dimm : by_position) {
-      is_test_lookup.push_back(std::binary_search(
-          test_sorted.begin(), test_sorted.end(), dimm->id));
-    }
+  // Sudden-UE DIMMs (no CE) have no predictive data and are excluded
+  // (paper Section III).
+  std::vector<std::size_t> eligible;
+  for (std::size_t i = 0; i < fleet.dimms.size(); ++i) {
+    if (roles_[i] != DimmRole::kNoCe) eligible.push_back(i);
   }
 
-  // Carve the validation fold (for threshold tuning) out of the train side,
-  // stratified by class like the test split.
-  std::vector<const sim::DimmTrace*> train_all;
-  for (std::size_t i = 0; i < by_position.size(); ++i) {
-    if (is_test_lookup[i]) {
-      test_dimms_.push_back(by_position[i]);
-    } else {
-      train_all.push_back(by_position[i]);
-    }
-  }
-  std::vector<dram::DimmId> train_pos, train_neg;
-  for (const sim::DimmTrace* dimm : train_all) {
-    (dimm->predictable_ue() ? train_pos : train_neg).push_back(dimm->id);
-  }
-  const ml::DimmSplit val_split = ml::split_dimms(
-      train_pos, train_neg, config_.validation_fraction, rng);
-  std::vector<dram::DimmId> val_sorted = val_split.test;
-  std::sort(val_sorted.begin(), val_sorted.end());
-  for (const sim::DimmTrace* dimm : train_all) {
-    (std::binary_search(val_sorted.begin(), val_sorted.end(), dimm->id)
-         ? val_dimms_
-         : train_dimms_)
-        .push_back(dimm);
-  }
-
-  // Build the training set: extract per DIMM in parallel blocks, then
-  // downsample serially in DIMM order. Extraction draws no RNG, so the
-  // parallel fan-out cannot disturb sample_rng's draw sequence and the
-  // training set stays byte-identical at any thread count; block-at-a-time
-  // keeps peak memory at one block of undownsampled DIMMs.
-  features::SampleSet set;
-  set.schema = train_extractor_.schema();
+  // Extract per DIMM in parallel blocks, then route serially in DIMM
+  // order: extraction draws no RNG, so the fan-out cannot disturb
+  // sample_rng's draws and the result is the same at any thread count;
+  // block-at-a-time keeps peak memory at one block of undownsampled DIMMs.
+  SplitPartitions parts;
   Rng sample_rng = rng.fork();
   {
     ThreadPool::ScopedLimit limit(config_.num_threads);
     constexpr std::size_t kExtractBlock = 32;
     std::vector<std::vector<features::Sample>> block(kExtractBlock);
-    for (std::size_t begin = 0; begin < train_dimms_.size();
+    for (std::size_t begin = 0; begin < eligible.size();
          begin += kExtractBlock) {
       const std::size_t count =
-          std::min(kExtractBlock, train_dimms_.size() - begin);
+          std::min(kExtractBlock, eligible.size() - begin);
       ThreadPool::global().parallel_for(
           count,
           [&](std::size_t i) {
-            block[i] =
-                train_extractor_.extract(*train_dimms_[begin + i],
-                                         fleet.horizon);
+            const std::size_t d = eligible[begin + i];
+            const features::FeatureExtractor& extractor =
+                roles_[d] == DimmRole::kTrain ? train_extractor
+                                             : eval_extractor;
+            block[i] = extractor.extract(fleet.dimms[d], fleet.horizon);
+            if (!config_.active_features.empty()) {
+              // Ablation: keep only the active feature columns.
+              for (features::Sample& sample : block[i]) {
+                std::vector<float> row;
+                row.reserve(config_.active_features.size());
+                for (const std::size_t col : config_.active_features) {
+                  row.push_back(sample.features[col]);
+                }
+                sample.features = std::move(row);
+              }
+            }
           },
           /*grain=*/1);
       for (std::size_t i = 0; i < count; ++i) {
-        std::vector<features::Sample> samples = std::move(block[i]);
+        const std::size_t d = eligible[begin + i];
+        const sim::DimmTrace& dimm = fleet.dimms[d];
+        parts.add(roles_[d], d,
+                  {.positive = dimm.predictable_ue(),
+                   .ue_time = dimm.ue ? dimm.ue->time : 0,
+                   .alarm = std::nullopt},
+                  std::move(block[i]), config_.sampling, sample_rng);
         block[i].clear();
-        // Per-DIMM downsampling before pooling keeps memory flat.
-        std::vector<features::Sample> positives, negatives;
-        for (features::Sample& sample : samples) {
-          if (sample.label == 1) positives.push_back(std::move(sample));
-          else if (sample.label == 0) negatives.push_back(std::move(sample));
-        }
-        if (negatives.size() > config_.max_negatives_per_dimm) {
-          sample_rng.shuffle(negatives);
-          negatives.resize(config_.max_negatives_per_dimm);
-        }
-        if (positives.size() > config_.max_positives_per_dimm) {
-          positives.erase(positives.begin(),
-                          positives.end() - static_cast<std::ptrdiff_t>(
-                                                config_.max_positives_per_dimm));
-        }
-        for (auto& sample : negatives) set.samples.push_back(std::move(sample));
-        for (auto& sample : positives) set.samples.push_back(std::move(sample));
       }
     }
   }
-  train_set_ = ml::make_dataset(set);
-  if (!config_.active_features.empty()) {
-    // Ablation: project the training matrix onto the active columns.
-    ml::Dataset projected;
-    projected.y = train_set_.y;
-    projected.weight = train_set_.weight;
-    projected.dimm = train_set_.dimm;
-    projected.time = train_set_.time;
-    for (std::size_t i = 0; i < config_.active_features.size(); ++i) {
-      const std::size_t col = config_.active_features[i];
-      if (std::find(train_set_.categorical.begin(),
-                    train_set_.categorical.end(),
-                    col) != train_set_.categorical.end()) {
-        projected.categorical.push_back(i);
-      }
-    }
-    for (std::size_t r = 0; r < train_set_.size(); ++r) {
-      std::vector<float> row;
-      row.reserve(config_.active_features.size());
-      for (std::size_t col : config_.active_features) {
-        row.push_back(train_set_.x.at(r, col));
-      }
-      projected.x.push_row(row);
-    }
-    train_set_ = std::move(projected);
-  }
-  ml::rebalance_weights(train_set_, config_.positive_weight_share);
+  const features::FeatureSchema& schema = train_extractor.schema();
+  train_set_ = ml::make_dataset(features::SampleSet{
+      config_.active_features.empty() ? schema
+                                      : schema.subset(config_.active_features),
+      std::move(parts.train)});
+  val_ = std::move(parts.val);
+  test_ = std::move(parts.test);
+  ml::rebalance_weights(train_set_, config_.sampling.positive_weight_share);
 
   MEMFP_INFO << "experiment " << dram::platform_name(fleet.platform) << ": "
-             << train_dimms_.size() << " train / " << val_dimms_.size()
-             << " val / " << test_dimms_.size() << " test DIMMs, "
+             << train_dimm_count() << " train / " << val_.dimm.size()
+             << " val / " << test_.dimm.size() << " test DIMMs, "
              << train_set_.size() << " training rows ("
              << train_set_.positives() << " positive)";
 }
 
-void Experiment::project_into(std::span<const float> features,
-                              std::vector<float>& out) const {
-  out.clear();
-  out.reserve(config_.active_features.size());
-  for (std::size_t col : config_.active_features) out.push_back(features[col]);
+std::size_t Experiment::train_dimm_count() const {
+  return static_cast<std::size_t>(
+      std::count(roles_.begin(), roles_.end(), DimmRole::kTrain));
 }
 
-void Experiment::score_dimms(const ml::BinaryClassifier& model,
-                             const std::vector<const sim::DimmTrace*>& dimms,
-                             std::vector<ScoredStream>& streams,
-                             std::vector<AlarmOutcome>& outcomes,
-                             std::vector<double>* pooled_scores,
-                             std::vector<int>* pooled_labels) const {
-  streams.assign(dimms.size(), {});
-  outcomes.assign(dimms.size(), {});
-  std::vector<std::vector<double>> dimm_scores(
-      pooled_scores ? dimms.size() : 0);
-  std::vector<std::vector<int>> dimm_labels(pooled_labels ? dimms.size() : 0);
-
-  ThreadPool::ScopedLimit limit(config_.num_threads);
-  ThreadPool::global().parallel_for(
-      dimms.size(),
-      [&](std::size_t d) {
-        const sim::DimmTrace* dimm = dimms[d];
-        const std::vector<features::Sample> samples =
-            eval_extractor_.extract(*dimm, fleet_->horizon);
-        ScoredStream stream;
-        ml::Matrix x;
-        std::vector<float> projected;  // reused scratch; only for ablations
-        const bool project = !config_.active_features.empty();
-        for (const features::Sample& sample : samples) {
-          stream.times.push_back(sample.time);
-          if (project) {
-            project_into(sample.features, projected);
-            x.push_row(projected);
-          } else {
-            x.push_row(sample.features);
-          }
-        }
-        // predict_batch dispatches to the flat batched engine for the tree
-        // ensembles (FlatEnsemble) — same scores, one pass over x.
-        stream.scores = x.rows() > 0 ? model.predict_batch(x)
-                                     : std::vector<double>{};
-        if (pooled_scores) {
-          for (std::size_t i = 0; i < samples.size(); ++i) {
-            if (samples[i].label < 0) continue;
-            dimm_scores[d].push_back(stream.scores[i]);
-            dimm_labels[d].push_back(samples[i].label);
-          }
-        }
-        AlarmOutcome outcome;
-        outcome.positive = dimm->predictable_ue();
-        outcome.ue_time = dimm->ue ? dimm->ue->time : 0;
-        streams[d] = std::move(stream);
-        outcomes[d] = outcome;
-      },
-      /*grain=*/1);
-
-  // Ordered merge: pooled vectors are concatenated in DIMM order, exactly as
-  // the serial loop appended them.
-  if (pooled_scores) {
-    for (std::size_t d = 0; d < dimms.size(); ++d) {
-      pooled_scores->insert(pooled_scores->end(), dimm_scores[d].begin(),
-                            dimm_scores[d].end());
-      pooled_labels->insert(pooled_labels->end(), dimm_labels[d].begin(),
-                            dimm_labels[d].end());
-    }
-  }
+void Experiment::finish(Result& result,
+                        const std::vector<AlarmOutcome>& outcomes) const {
+  result.confusion = dimm_confusion(outcomes, config_.windows);
+  result.precision = result.confusion.precision();
+  result.recall = result.confusion.recall();
+  result.f1 = result.confusion.f1();
+  result.virr = result.confusion.virr();
 }
 
 Experiment::Result Experiment::run(Algorithm algorithm) {
@@ -272,32 +170,29 @@ Experiment::run_with_model(Algorithm algorithm) {
   // Caps pool width for training and scoring alike; results do not depend
   // on the cap (determinism contract), only wall-clock does.
   ThreadPool::ScopedLimit limit(config_.num_threads);
-  Rng rng(config_.seed ^ (static_cast<std::uint64_t>(algorithm) + 0x51ed));
+  Rng rng(config_.sampling.seed ^
+          (static_cast<std::uint64_t>(algorithm) + 0x51ed));
   std::unique_ptr<ml::BinaryClassifier> model = make_model(algorithm);
   model->fit(train_set_, rng);
 
-  // Threshold tuning on the validation DIMMs.
-  std::vector<ScoredStream> val_streams;
-  std::vector<AlarmOutcome> val_outcomes;
-  score_dimms(*model, val_dimms_, val_streams, val_outcomes, nullptr, nullptr);
-  result.threshold =
-      tune_threshold(val_streams, val_outcomes, config_.windows);
+  // Threshold tuned on the validation DIMMs, alarms on the held-out ones.
+  const ScoredEval scored = score_eval(*model, val_, test_, config_.windows);
+  result.threshold = scored.threshold;
+  const std::vector<std::optional<SimTime>> alarms =
+      scored.test.first_alarms(std::span(&result.threshold, 1));
+  std::vector<AlarmOutcome> outcomes = test_.truth;
+  for (std::size_t i = 0; i < outcomes.size(); ++i) {
+    outcomes[i].alarm = alarms[i];
+  }
+  finish(result, outcomes);
 
-  // Held-out evaluation.
-  std::vector<ScoredStream> test_streams;
-  std::vector<AlarmOutcome> test_outcomes;
   std::vector<double> pooled_scores;
   std::vector<int> pooled_labels;
-  score_dimms(*model, test_dimms_, test_streams, test_outcomes,
-              &pooled_scores, &pooled_labels);
-  for (std::size_t i = 0; i < test_streams.size(); ++i) {
-    test_outcomes[i].alarm = test_streams[i].first_alarm(result.threshold);
+  for (std::size_t r = 0; r < test_.labels.size(); ++r) {
+    if (test_.labels[r] < 0) continue;
+    pooled_scores.push_back(scored.test.scores[r]);
+    pooled_labels.push_back(test_.labels[r]);
   }
-  result.confusion = dimm_confusion(test_outcomes, config_.windows);
-  result.precision = result.confusion.precision();
-  result.recall = result.confusion.recall();
-  result.f1 = result.confusion.f1();
-  result.virr = result.confusion.virr();
   result.sample_pr_auc = ml::pr_auc(pooled_scores, pooled_labels);
   return {std::move(result), std::move(model)};
 }
@@ -311,23 +206,19 @@ Experiment::Result Experiment::run_risky_baseline() {
     return result;
   }
   baseline::RiskyCePattern baseline(config_.windows);
-  std::vector<const sim::DimmTrace*> fit_dimms = train_dimms_;
-  fit_dimms.insert(fit_dimms.end(), val_dimms_.begin(), val_dimms_.end());
+  std::vector<const sim::DimmTrace*> fit_dimms;  // train, then val
+  for (const DimmRole role : {DimmRole::kTrain, DimmRole::kVal}) {
+    for (std::size_t i = 0; i < roles_.size(); ++i) {
+      if (roles_[i] == role) fit_dimms.push_back(&fleet_->dimms[i]);
+    }
+  }
   baseline.fit(fit_dimms, fleet_->horizon);
 
-  std::vector<AlarmOutcome> outcomes;
-  for (const sim::DimmTrace* dimm : test_dimms_) {
-    AlarmOutcome outcome;
-    outcome.positive = dimm->predictable_ue();
-    outcome.ue_time = dimm->ue ? dimm->ue->time : 0;
-    outcome.alarm = baseline.first_alarm(*dimm);
-    outcomes.push_back(outcome);
+  std::vector<AlarmOutcome> outcomes = test_.truth;
+  for (std::size_t i = 0; i < outcomes.size(); ++i) {
+    outcomes[i].alarm = baseline.first_alarm(fleet_->dimms[test_.dimm[i]]);
   }
-  result.confusion = dimm_confusion(outcomes, config_.windows);
-  result.precision = result.confusion.precision();
-  result.recall = result.confusion.recall();
-  result.f1 = result.confusion.f1();
-  result.virr = result.confusion.virr();
+  finish(result, outcomes);
   result.threshold = 1.0;
   return result;
 }

@@ -3,8 +3,8 @@
 // validation fold -> DIMM-level alarm evaluation on held-out DIMMs.
 //
 // The pipeline never materializes the full fleet sample set: training rows
-// are downsampled per DIMM as they are extracted, and evaluation streams one
-// DIMM at a time.
+// are downsampled per DIMM as they are extracted, and only the validation
+// and test DIMMs' eval-cadence rows are kept for scoring.
 #pragma once
 
 #include <memory>
@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "core/evaluation.h"
+#include "core/stages.h"
 #include "features/extractor.h"
 #include "ml/model.h"
 #include "sim/trace.h"
@@ -29,13 +30,9 @@ std::unique_ptr<ml::BinaryClassifier> make_model(Algorithm algorithm);
 struct PipelineConfig {
   features::PredictionWindows windows;      ///< training cadence = 1 day
   SimDuration eval_cadence = days(2);       ///< scoring cadence on val/test
-  double test_fraction = 0.30;
-  double validation_fraction = 0.25;        ///< of train DIMMs, for threshold
-  std::size_t max_negatives_per_dimm = 6;
-  std::size_t max_positives_per_dimm = 12;
-  double positive_weight_share = 0.25;
-  std::uint64_t seed = 13;
+  SamplingConfig sampling;
   /// Optional feature-column restriction (ablations); empty = all features.
+  /// Every column must be inside the feature schema.
   std::vector<std::size_t> active_features;
   /// Parallelism cap for this experiment's simulation/training/scoring hot
   /// paths: 0 = the pool default (MEMFP_THREADS env var, else
@@ -44,7 +41,8 @@ struct PipelineConfig {
   int num_threads = 0;
 };
 
-/// A fleet prepared for experiments: split decided, training set built.
+/// A fleet prepared for experiments: split decided, training set and the
+/// validation/test partitions built.
 class Experiment {
  public:
   Experiment(const sim::FleetTrace& fleet, PipelineConfig config);
@@ -71,40 +69,24 @@ class Experiment {
   const sim::FleetTrace& fleet() const { return *fleet_; }
   const PipelineConfig& config() const { return config_; }
   const ml::Dataset& train_set() const { return train_set_; }
-  std::size_t train_dimm_count() const { return train_dimms_.size(); }
-  std::size_t test_dimm_count() const { return test_dimms_.size(); }
-  const std::vector<const sim::DimmTrace*>& test_dimms() const {
-    return test_dimms_;
-  }
-
-  /// Scores every eval-cadence sample of `dimms`; fills streams + outcomes.
-  /// One pool task per DIMM; streams, outcomes and the pooled score/label
-  /// vectors are merged in DIMM order, so confusion counts and tuned
-  /// thresholds are bit-identical to the serial path at any thread count.
-  void score_dimms(const ml::BinaryClassifier& model,
-                   const std::vector<const sim::DimmTrace*>& dimms,
-                   std::vector<ScoredStream>& streams,
-                   std::vector<AlarmOutcome>& outcomes,
-                   std::vector<double>* pooled_scores,
-                   std::vector<int>* pooled_labels) const;
+  std::size_t train_dimm_count() const;
+  std::size_t test_dimm_count() const { return test_.dimm.size(); }
+  /// The held-out DIMMs' eval-cadence samples, in the layout the campaign
+  /// scores (core/stages.h); stream i is test DIMM i.
+  const EvalPartition& test_partition() const { return test_; }
 
  private:
   Result run_risky_baseline();
-
-  /// Ablation projection of one feature row into a caller-owned scratch
-  /// buffer (no per-row allocation); no-op copy avoided entirely by
-  /// score_dimms when no column restriction is active.
-  void project_into(std::span<const float> features,
-                    std::vector<float>& out) const;
+  /// Fills the confusion-derived fields of `result` from `outcomes`.
+  void finish(Result& result,
+              const std::vector<AlarmOutcome>& outcomes) const;
 
   const sim::FleetTrace* fleet_;
   PipelineConfig config_;
-  features::FeatureExtractor train_extractor_;
-  features::FeatureExtractor eval_extractor_;
-  std::vector<const sim::DimmTrace*> train_dimms_;
-  std::vector<const sim::DimmTrace*> val_dimms_;
-  std::vector<const sim::DimmTrace*> test_dimms_;
+  std::vector<DimmRole> roles_;  ///< per fleet DIMM
   ml::Dataset train_set_;
+  EvalPartition val_;
+  EvalPartition test_;
 };
 
 }  // namespace memfp::core

@@ -23,12 +23,9 @@ void MemoryFailurePredictor::train(const sim::FleetTrace& fleet) {
   PipelineConfig config;
   config.windows = options_.windows;
   config.eval_cadence = options_.eval_cadence;
-  config.test_fraction = 0.0;
-  config.validation_fraction = options_.validation_fraction;
-  config.max_negatives_per_dimm = options_.max_negatives_per_dimm;
-  config.max_positives_per_dimm = options_.max_positives_per_dimm;
-  config.positive_weight_share = options_.positive_weight_share;
-  config.seed = options_.seed;
+  config.sampling.test_fraction = 0.0;
+  config.sampling.validation_fraction = 0.2;
+  config.sampling.seed = 17;
 
   Experiment experiment(fleet, config);
   auto [result, model] = experiment.run_with_model(options_.algorithm);

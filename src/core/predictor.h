@@ -21,17 +21,14 @@ class MemoryFailurePredictor {
     Algorithm algorithm = Algorithm::kLightGbm;
     features::PredictionWindows windows;
     SimDuration eval_cadence = days(2);
-    double validation_fraction = 0.2;
-    std::size_t max_negatives_per_dimm = 6;
-    std::size_t max_positives_per_dimm = 12;
-    double positive_weight_share = 0.25;
-    std::uint64_t seed = 17;
   };
 
   explicit MemoryFailurePredictor(dram::Platform platform);
   MemoryFailurePredictor(dram::Platform platform, Options options);
 
-  /// Trains the model on the fleet and tunes the alarm threshold.
+  /// Trains the model on the fleet and tunes the alarm threshold. Every
+  /// CE DIMM feeds training or the threshold-tuning validation fold (20%,
+  /// split seed 17); none is held out for testing.
   void train(const sim::FleetTrace& fleet);
 
   /// P(UE within the prediction window) for a DIMM at time t. Returns 0

@@ -43,13 +43,9 @@ std::uint64_t StageCache::total_misses() const {
   return total;
 }
 
-void StageCache::reset_counters() {
-  for (StageCounters& c : counters_) c = StageCounters{};
-}
-
 void StageCache::clear() {
   entries_.clear();
-  reset_counters();
+  for (StageCounters& c : counters_) c = StageCounters{};
 }
 
 }  // namespace memfp::core

@@ -88,7 +88,7 @@ class StageCache {
   std::uint64_t total_misses() const;
   std::size_t size() const { return entries_.size(); }
 
-  void reset_counters();
+  /// Drops every artifact and zeroes the counters.
   void clear();
 
  private:

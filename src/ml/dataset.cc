@@ -1,7 +1,5 @@
 #include "ml/dataset.h"
 
-#include <algorithm>
-#include <unordered_map>
 
 #include "common/check.h"
 
@@ -24,20 +22,6 @@ std::size_t Dataset::positives() const {
   std::size_t count = 0;
   for (int label : y) count += label == 1;
   return count;
-}
-
-Dataset Dataset::select(const std::vector<std::size_t>& rows) const {
-  Dataset out;
-  out.categorical = categorical;
-  out.x = Matrix(0, 0);
-  for (std::size_t r : rows) {
-    out.x.push_row(x.row(r));
-    out.y.push_back(y[r]);
-    out.weight.push_back(weight[r]);
-    out.dimm.push_back(dimm[r]);
-    out.time.push_back(time[r]);
-  }
-  return out;
 }
 
 Dataset make_dataset(const features::SampleSet& samples) {
@@ -71,49 +55,6 @@ DimmSplit split_dimms(const std::vector<dram::DimmId>& positive_dimms,
   assign(positive_dimms);
   assign(negative_dimms);
   return split;
-}
-
-Dataset downsample(const Dataset& dataset, std::size_t max_negatives_per_dimm,
-                   std::size_t max_positives_per_dimm, Rng& rng) {
-  // Bucket row indices per (dimm, class).
-  std::unordered_map<dram::DimmId, std::vector<std::size_t>> neg, pos;
-  for (std::size_t r = 0; r < dataset.size(); ++r) {
-    (dataset.y[r] == 1 ? pos : neg)[dataset.dimm[r]].push_back(r);
-  }
-  // Visit buckets in ascending DIMM id, never in hash order: each negative
-  // bucket consumes rng draws, so the visit order decides which rows every
-  // bucket keeps — hash order would tie the training set to the standard
-  // library's bucket layout.
-  std::vector<dram::DimmId> neg_ids, pos_ids;
-  neg_ids.reserve(neg.size());
-  pos_ids.reserve(pos.size());
-  // memfp-lint: allow(unordered-iter): keys sorted immediately below
-  for (const auto& [id, rows] : neg) neg_ids.push_back(id);
-  // memfp-lint: allow(unordered-iter): keys sorted immediately below
-  for (const auto& [id, rows] : pos) pos_ids.push_back(id);
-  std::sort(neg_ids.begin(), neg_ids.end());
-  std::sort(pos_ids.begin(), pos_ids.end());
-  std::vector<std::size_t> keep;
-  for (dram::DimmId id : neg_ids) {
-    std::vector<std::size_t>& rows = neg[id];
-    if (rows.size() > max_negatives_per_dimm) {
-      rng.shuffle(rows);
-      rows.resize(max_negatives_per_dimm);
-    }
-    keep.insert(keep.end(), rows.begin(), rows.end());
-  }
-  for (dram::DimmId id : pos_ids) {
-    std::vector<std::size_t>& rows = pos[id];
-    // Keep the latest positive samples: closest to the failure, strongest
-    // signal, and they bound the lead time the model actually learns.
-    if (rows.size() > max_positives_per_dimm) {
-      rows.erase(rows.begin(),
-                 rows.end() - static_cast<std::ptrdiff_t>(max_positives_per_dimm));
-    }
-    keep.insert(keep.end(), rows.begin(), rows.end());
-  }
-  std::sort(keep.begin(), keep.end());
-  return dataset.select(keep);
 }
 
 void rebalance_weights(Dataset& dataset, double positive_share) {

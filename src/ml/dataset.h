@@ -1,7 +1,6 @@
-// Tabular dataset container and the split/resampling utilities used by the
+// Tabular dataset container and the split/re-weighting utilities used by the
 // prediction pipeline (split by DIMM, never by sample, so no DIMM leaks
-// across train/test; negatives are downsampled per DIMM the way the memory
-// failure prediction literature does).
+// across train/test; core/stages.h downsamples per DIMM on top of it).
 #pragma once
 
 #include <cstdint>
@@ -63,9 +62,6 @@ struct Dataset {
 
   std::size_t size() const { return y.size(); }
   std::size_t positives() const;
-
-  /// Keeps only the listed rows (in the given order).
-  Dataset select(const std::vector<std::size_t>& rows) const;
 };
 
 /// Builds a Dataset from trainable samples (label >= 0).
@@ -80,12 +76,6 @@ struct DimmSplit {
 DimmSplit split_dimms(const std::vector<dram::DimmId>& positive_dimms,
                       const std::vector<dram::DimmId>& negative_dimms,
                       double test_fraction, Rng& rng);
-
-/// Downsamples negative rows to `max_negatives_per_dimm` (uniformly chosen
-/// per DIMM) and keeps up to `max_positives_per_dimm` positive rows per DIMM
-/// (the latest ones, which carry the most pre-failure signal).
-Dataset downsample(const Dataset& dataset, std::size_t max_negatives_per_dimm,
-                   std::size_t max_positives_per_dimm, Rng& rng);
 
 /// Sets per-sample weights so the positive class carries `positive_share`
 /// of the total weight (class re-balancing for the imbalanced UE task).

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <limits>
 #include <queue>
+#include <stdexcept>
+#include <string>
 
 #include "common/check.h"
 #include "common/simd.h"
@@ -82,7 +84,7 @@ Json Tree::to_json() const {
   return out;
 }
 
-Tree Tree::from_json(const Json& json) {
+Tree Tree::from_json(const Json& json, std::size_t index) {
   Tree tree;
   for (const Json& entry : json.at("nodes").as_array()) {
     TreeNode node;
@@ -92,6 +94,22 @@ Tree Tree::from_json(const Json& json) {
     node.right = static_cast<int>(entry.at("r").as_int());
     node.value = entry.at("v").as_number();
     tree.nodes_.push_back(node);
+  }
+  // The trainers append both children after their parent, so a child index
+  // outside (node, size) would make predict() read out of bounds or loop.
+  const auto size = static_cast<std::int64_t>(tree.nodes_.size());
+  for (std::int64_t n = 0; n < size; ++n) {
+    const TreeNode& node = tree.nodes_[static_cast<std::size_t>(n)];
+    if (node.feature < 0) continue;
+    for (const int child : {node.left, node.right}) {
+      if (child <= n || child >= size) {
+        throw std::runtime_error(
+            "Tree::from_json: tree " + std::to_string(index) + " node " +
+            std::to_string(n) + " has child " + std::to_string(child) +
+            ", outside (" + std::to_string(n) + ", " + std::to_string(size) +
+            ")");
+      }
+    }
   }
   return tree;
 }

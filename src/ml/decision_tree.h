@@ -79,7 +79,10 @@ class Tree {
   std::size_t leaves() const;
 
   Json to_json() const;
-  static Tree from_json(const Json& json);
+  /// Throws std::runtime_error naming tree `index` (its position in the
+  /// ensemble) and the node when a child index does not point past its
+  /// parent and inside the tree.
+  static Tree from_json(const Json& json, std::size_t index = 0);
 
  private:
   std::vector<TreeNode> nodes_;

@@ -165,7 +165,7 @@ Gbdt Gbdt::from_json(const Json& json) {
   model.base_score_ = json.at("base_score").as_number();
   model.params_.learning_rate = json.at("learning_rate").as_number();
   for (const Json& tree : json.at("trees").as_array()) {
-    model.trees_.push_back(Tree::from_json(tree));
+    model.trees_.push_back(Tree::from_json(tree, model.trees_.size()));
   }
   model.flat_.invalidate();  // recompile lazily against the loaded trees
   return model;

@@ -67,7 +67,7 @@ Json RandomForest::to_json() const {
 RandomForest RandomForest::from_json(const Json& json) {
   RandomForest model;
   for (const Json& tree : json.at("trees").as_array()) {
-    model.trees_.push_back(Tree::from_json(tree));
+    model.trees_.push_back(Tree::from_json(tree, model.trees_.size()));
   }
   model.flat_.invalidate();  // recompile lazily against the loaded trees
   return model;

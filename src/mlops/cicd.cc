@@ -1,9 +1,9 @@
 #include "mlops/cicd.h"
 
-#include <bit>
 #include <stdexcept>
 
 #include "common/logging.h"
+#include "core/stages.h"
 #include "features/extractor.h"
 #include "sim/trace_store.h"
 
@@ -57,20 +57,15 @@ BatchScoringReport run_batch_scoring(const DataLake& lake,
   report.score_hash = sim::kFnvOffset;
   lake.for_each_dimm(partition, [&](const sim::DimmTrace& dimm) {
     ++report.dimms;
-    const std::vector<features::Sample> samples =
-        extractor.extract(dimm, info.horizon);
-    if (samples.empty()) return;
-    ml::Matrix x;
-    for (const features::Sample& sample : samples) {
-      x.push_row(sample.features);
-    }
-    const std::vector<double> scores = model.predict_batch(x);
+    core::EvalPartition rows;
+    rows.append(0, {}, extractor.extract(dimm, info.horizon));
+    const std::vector<double> scores =
+        core::score_partition(model, rows).scores;
     report.samples += scores.size();
+    report.score_hash = core::fold_score_hash(report.score_hash, scores);
     for (const double score : scores) {
       report.score_sum += score;
       report.alarms += score >= threshold ? 1 : 0;
-      report.score_hash = sim::fnv1a_u64(
-          report.score_hash, std::bit_cast<std::uint64_t>(score));
     }
   });
   MEMFP_INFO << "cicd: batch-scored " << partition << " (" << report.dimms

@@ -364,7 +364,7 @@ TEST(CampaignCache, StageKeysExposeSharingStructure) {
   const ScenarioSpec& sc = base.scenarios[0];
   const EccSpec& ecc = base.eccs[0];
   const PredictorSpec& pred = base.predictors[0];
-  const CampaignSampling& sampling = base.sampling;
+  const SamplingConfig& sampling = base.sampling;
 
   // Algorithm and train seed are invisible to simulate/extract keys.
   PredictorSpec other_algo = pred;
@@ -388,7 +388,7 @@ TEST(CampaignCache, StageKeysExposeSharingStructure) {
   EXPECT_NE(engine.simulate_key(sc, ecc), engine.simulate_key(sc, other_bmc));
 
   // Sampling perturbs extract but not simulate.
-  CampaignSampling other_sampling = sampling;
+  SamplingConfig other_sampling = sampling;
   other_sampling.seed = 77;
   EXPECT_NE(engine.extract_key(sc, ecc, pred, sampling),
             engine.extract_key(sc, ecc, pred, other_sampling));

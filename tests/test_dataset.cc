@@ -35,15 +35,6 @@ TEST(Dataset, MakeDatasetDropsAmbiguousSamples) {
   EXPECT_EQ(dataset.positives(), 3u);
 }
 
-TEST(Dataset, SelectKeepsRowContent) {
-  const Dataset dataset = make_dataset(tiny_sample_set());
-  const Dataset subset = dataset.select({0, 5});
-  ASSERT_EQ(subset.size(), 2u);
-  EXPECT_EQ(subset.x.at(1, 0), dataset.x.at(5, 0));
-  EXPECT_EQ(subset.dimm[1], dataset.dimm[5]);
-  EXPECT_EQ(subset.categorical, dataset.categorical);
-}
-
 TEST(Matrix, PushRowSetsWidth) {
   Matrix m;
   m.push_row(std::vector<float>{1.0f, 2.0f, 3.0f});
@@ -74,27 +65,6 @@ TEST(SplitDimms, StratifiesPositives) {
   int test_pos = 0;
   for (dram::DimmId id : split.test) test_pos += id <= 10;
   EXPECT_EQ(test_pos, 3);  // exactly 30% of the positives
-}
-
-TEST(Downsample, CapsNegativesPerDimm) {
-  const Dataset dataset = make_dataset(tiny_sample_set());
-  Rng rng(7);
-  const Dataset down = downsample(dataset, 1, 10, rng);
-  // 3 negative DIMMs capped at 1 row each + 3 positive rows.
-  EXPECT_EQ(down.size(), 6u);
-  EXPECT_EQ(down.positives(), 3u);
-}
-
-TEST(Downsample, KeepsLatestPositives) {
-  const Dataset dataset = make_dataset(tiny_sample_set());
-  Rng rng(7);
-  const Dataset down = downsample(dataset, 10, 1, rng);
-  ASSERT_EQ(down.positives(), 1u);
-  for (std::size_t r = 0; r < down.size(); ++r) {
-    if (down.y[r] == 1) {
-      EXPECT_EQ(down.time[r], days(3));  // the latest positive sample
-    }
-  }
 }
 
 TEST(RebalanceWeights, HitsTargetShare) {

@@ -86,17 +86,14 @@ TEST(ScoredStream, FirstAlarmFindsFirstCrossing) {
   EXPECT_EQ(stream.first_alarm(0.5), days(2));
   EXPECT_EQ(stream.first_alarm(0.7), days(4));
   EXPECT_FALSE(stream.first_alarm(0.95).has_value());
-  EXPECT_DOUBLE_EQ(stream.max_score(), 0.9);
 }
 
 TEST(TuneThreshold, SeparatesCleanStreams) {
   // Positive DIMM peaks at 0.9 well before its UE; negative peaks at 0.3.
-  ScoredStream positive;
-  positive.times = {days(1), days(2)};
-  positive.scores = {0.2, 0.9};
-  ScoredStream negative;
-  negative.times = {days(1), days(2)};
-  negative.scores = {0.3, 0.25};
+  ScoreStreamSet streams;
+  streams.offsets = {0, 2, 4};
+  streams.times = {days(1), days(2), days(1), days(2)};
+  streams.scores = {0.2, 0.9, 0.3, 0.25};
 
   AlarmOutcome pos_outcome;
   pos_outcome.positive = true;
@@ -104,8 +101,8 @@ TEST(TuneThreshold, SeparatesCleanStreams) {
   AlarmOutcome neg_outcome;
   neg_outcome.positive = false;
 
-  const double threshold = tune_threshold(
-      {positive, negative}, {pos_outcome, neg_outcome}, test_windows());
+  const double threshold =
+      tune_threshold(streams, {pos_outcome, neg_outcome}, test_windows());
   EXPECT_GT(threshold, 0.3);
   EXPECT_LE(threshold, 0.9);
 }

@@ -5,11 +5,13 @@
 // ScopedLimit(4) and compare outputs exactly — no tolerances.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
 #include "common/thread_pool.h"
 #include "core/pipeline.h"
+#include "core/stages.h"
 #include "ml/gbdt.h"
 #include "ml/random_forest.h"
 #include "sim/fleet.h"
@@ -201,32 +203,35 @@ TEST(ParallelDeterminism, ExperimentResultIdenticalAcrossThreadCounts) {
 TEST(ParallelDeterminism, ScoreDimmsMergesInDimmOrder) {
   const sim::FleetTrace fleet =
       sim::simulate_fleet(sim::purley_scenario().scaled(0.05));
+  const auto partition_at = [&](int threads) {
+    core::PipelineConfig config;
+    config.num_threads = threads;
+    return core::Experiment(fleet, config).test_partition();
+  };
+  const core::EvalPartition serial = partition_at(1);
+  const core::EvalPartition wide = partition_at(4);
+  // Extraction fans out per DIMM; streams are appended in DIMM order.
+  EXPECT_EQ(serial.dimm, wide.dimm);
+  EXPECT_EQ(serial.streams.offsets, wide.streams.offsets);
+  EXPECT_EQ(serial.streams.times, wide.streams.times);
+  EXPECT_EQ(serial.labels, wide.labels);
+  ASSERT_EQ(serial.x.rows(), wide.x.rows());
+  for (std::size_t r = 0; r < serial.x.rows(); ++r) {
+    ASSERT_TRUE(std::equal(serial.x.row(r).begin(), serial.x.row(r).end(),
+                           wide.x.row(r).begin()))
+        << "row " << r;
+  }
+
   core::PipelineConfig config;
   core::Experiment experiment(fleet, config);
   auto [result, model] =
       experiment.run_with_model(core::Algorithm::kRandomForest);
   ASSERT_NE(model, nullptr);
-
   const auto score_at = [&](int threads) {
     ThreadPool::ScopedLimit cap(threads);
-    std::vector<core::ScoredStream> streams;
-    std::vector<core::AlarmOutcome> outcomes;
-    std::vector<double> pooled;
-    std::vector<int> labels;
-    experiment.score_dimms(*model, experiment.test_dimms(), streams, outcomes,
-                           &pooled, &labels);
-    return std::make_tuple(std::move(streams), std::move(pooled),
-                           std::move(labels));
+    return core::score_partition(*model, experiment.test_partition()).scores;
   };
-  const auto [streams1, pooled1, labels1] = score_at(1);
-  const auto [streams4, pooled4, labels4] = score_at(4);
-  ASSERT_EQ(streams1.size(), streams4.size());
-  for (std::size_t i = 0; i < streams1.size(); ++i) {
-    EXPECT_EQ(streams1[i].times, streams4[i].times);
-    EXPECT_EQ(streams1[i].scores, streams4[i].scores);
-  }
-  EXPECT_EQ(pooled1, pooled4);  // ordered merge: element-for-element
-  EXPECT_EQ(labels1, labels4);
+  EXPECT_EQ(score_at(1), score_at(4));
 }
 
 }  // namespace

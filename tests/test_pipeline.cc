@@ -4,6 +4,7 @@
 
 #include <map>
 #include <set>
+#include <string>
 
 #include "core/predictor.h"
 #include "sim/fleet.h"
@@ -42,8 +43,8 @@ TEST(Pipeline, TrainTestDimmsDisjoint) {
 
 TEST(Pipeline, TrainSetRespectsDownsamplingCaps) {
   PipelineConfig config;
-  config.max_negatives_per_dimm = 3;
-  config.max_positives_per_dimm = 5;
+  config.sampling.max_negatives_per_dimm = 3;
+  config.sampling.max_positives_per_dimm = 5;
   Experiment experiment(small_fleet(), config);
   std::map<dram::DimmId, std::size_t> neg_counts, pos_counts;
   const ml::Dataset& train = experiment.train_set();
@@ -95,6 +96,16 @@ TEST(Pipeline, AblationRestrictsFeatures) {
   EXPECT_EQ(experiment.train_set().x.cols(), config.active_features.size());
   const Experiment::Result result = experiment.run(Algorithm::kLightGbm);
   EXPECT_TRUE(result.applicable);  // runs end-to-end on the projected space
+}
+
+TEST(PipelineDeathTest, RejectsActiveFeatureOutsideSchema) {
+  PipelineConfig config;
+  const std::size_t width = features::FeatureSchema::standard().size();
+  config.active_features = {0, width};
+  EXPECT_DEATH(Experiment(small_fleet(), config),
+               "active_features: column " + std::to_string(width) +
+                   " is outside the " + std::to_string(width) +
+                   "-column feature schema");
 }
 
 TEST(Pipeline, RunWithModelHandsBackFittedModel) {

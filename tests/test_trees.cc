@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
+#include "ml/serialize.h"
+
 namespace memfp::ml {
 namespace {
 
@@ -146,6 +151,44 @@ TEST(Tree, JsonRoundTripPreservesPredictions) {
   for (std::size_t r = 0; r < d.size(); ++r) {
     EXPECT_DOUBLE_EQ(tree.predict(d.x.row(r)), restored.predict(d.x.row(r)));
   }
+}
+
+/// A two-tree GBDT artifact whose second tree splits its root into nodes
+/// `left` and `right` (nodes 1 and 2 are leaves).
+Json gbdt_artifact(int left, int right) {
+  const std::string leaf = R"({"f":-1,"t":0,"l":-1,"r":-1,"v":0.25})";
+  return Json::parse(
+      R"({"type":"gbdt","base_score":0,"learning_rate":0.1,"trees":[)"
+      R"({"nodes":[)" + leaf + R"(]},{"nodes":[{"f":0,"t":0.5,"l":)" +
+      std::to_string(left) + R"(,"r":)" + std::to_string(right) +
+      R"(,"v":0},)" + leaf + "," + leaf + "]}]}");
+}
+
+/// The message model_from_json throws for `artifact` ("" if none).
+std::string decode_error(const Json& artifact) {
+  try {
+    model_from_json(artifact);
+  } catch (const std::runtime_error& error) {
+    return error.what();
+  }
+  return "";
+}
+
+TEST(Tree, FromJsonAcceptsChildrenAfterTheirParent) {
+  EXPECT_EQ(decode_error(gbdt_artifact(1, 2)), "");
+  const std::vector<float> row{0.0f};
+  EXPECT_NO_THROW(model_from_json(gbdt_artifact(2, 1))->predict(row));
+}
+
+TEST(Tree, FromJsonRejectsOutOfRangeChild) {
+  const std::string error = decode_error(gbdt_artifact(1, 7));
+  EXPECT_NE(error.find("tree 1 node 0"), std::string::npos) << error;
+  EXPECT_NE(decode_error(gbdt_artifact(-1, 2)), "");
+}
+
+TEST(Tree, FromJsonRejectsSelfLoop) {
+  const std::string error = decode_error(gbdt_artifact(0, 2));
+  EXPECT_NE(error.find("tree 1 node 0"), std::string::npos) << error;
 }
 
 TEST(Tree, EmptyTreePredictsZero) {

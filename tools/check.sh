@@ -23,7 +23,12 @@
 #                    bench_campaign passes (sharded driver spill→stream→
 #                    score, the batched serving engine, and the shared-vs-
 #                    naive campaign sweep with its hash identity check)
-#   leg 7  tidy      clang-tidy over src/ (advisory; skipped when the
+#   leg 7  perf      perfbench/ (its own CMake package over ../src, so no
+#                    other leg builds it): the harness self-test, which
+#                    includes the pinned full-spec campaign hash, then one
+#                    short run of each BENCHMARK.json workload; any
+#                    non-zero exit (an oracle mismatch) fails the leg
+#   leg 8  tidy      clang-tidy over src/ (advisory; skipped when the
 #                    binary is not installed)
 #
 # Sanitizer coverage of the new trace-store/fleet-driver surface: the asan
@@ -35,7 +40,7 @@
 # tree is never poisoned by sanitizer objects. Usage:
 #
 #   tools/check.sh          # full matrix
-#   tools/check.sh lint     # one leg (lint|werror|asan|tsan|scalar|bench|tidy)
+#   tools/check.sh lint     # one leg (lint|werror|asan|tsan|scalar|bench|perf|tidy)
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
@@ -128,6 +133,20 @@ run_bench() {
   MEMFP_BENCH_SCALE=0.05 "$dir/bench/bench_campaign" > /dev/null
 }
 
+run_perf() {
+  log "leg: perf (perfbench self-test + one short run per workload)"
+  # run.py builds under $CARGO_TARGET_DIR; keep it beside the other legs.
+  # The workloads write scratch files relative to the checkout root.
+  export CARGO_TARGET_DIR="$MATRIX_ROOT/perfbench"
+  cd "$ROOT"
+  python3 perfbench/run.py --self-test
+  local workload
+  for workload in fleet-batch serve-steady serve-storm campaign-sweep; do
+    python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 1 \
+      --trace 0 > /dev/null
+  done
+}
+
 run_tidy() {
   log "leg: tidy (clang-tidy, advisory)"
   if ! command -v clang-tidy > /dev/null 2>&1; then
@@ -147,6 +166,7 @@ case "$LEG" in
   tsan)   run_tsan ;;
   scalar) run_scalar ;;
   bench)  run_bench ;;
+  perf)   run_perf ;;
   tidy)   run_tidy ;;
   all)
     run_lint
@@ -155,11 +175,12 @@ case "$LEG" in
     run_tsan
     run_scalar
     run_bench
+    run_perf
     run_tidy
     log "matrix green"
     ;;
   *)
-    echo "usage: tools/check.sh [lint|werror|asan|tsan|scalar|bench|tidy]" >&2
+    echo "usage: tools/check.sh [lint|werror|asan|tsan|scalar|bench|perf|tidy]" >&2
     exit 2
     ;;
 esac
