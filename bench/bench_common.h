@@ -1,20 +1,12 @@
-// Shared helpers for the reproduction benches: scale control, formatting,
-// process memory accounting, and the JSON trajectory writer every
-// tools/run_benches.sh leg records through.
+// Shared helpers for the reproduction benches: scale control, formatting
+// and the online CPU count bench_micro stamps into its JSON context.
 #pragma once
 
 #include <unistd.h>
 
-#include <algorithm>
-#include <cmath>
-#include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
-#include <string_view>
-#include <vector>
 
-#include "common/check.h"
 #include "common/string_utils.h"
 
 namespace memfp::bench {
@@ -39,206 +31,6 @@ inline double bench_scale() {
 
 inline std::string fmt(double value, int precision = 2) {
   return format_double(value, precision);
-}
-
-/// Nearest-rank percentile of a sample: the smallest element with at least
-/// p percent of the sample at or below it. `p` is clamped to [0, 100];
-/// an empty sample yields 0. Takes the sample by value (sorts a copy), so
-/// callers can keep their measurement order.
-inline double percentile(std::vector<double> sample, double p) {
-  if (sample.empty()) return 0.0;
-  std::sort(sample.begin(), sample.end());
-  if (p <= 0.0) return sample.front();
-  if (p >= 100.0) return sample.back();
-  const auto rank = static_cast<std::size_t>(
-      std::ceil(p / 100.0 * static_cast<double>(sample.size())));
-  return sample[rank - 1];
-}
-
-/// p50/p95/p99 of a latency sample in one pass over one sorted copy — the
-/// shape every bench records. Zeros when the sample is empty.
-struct LatencySummary {
-  double p50 = 0.0;
-  double p95 = 0.0;
-  double p99 = 0.0;
-};
-
-inline LatencySummary summarize_latencies(std::vector<double> sample) {
-  LatencySummary summary;
-  if (sample.empty()) return summary;
-  std::sort(sample.begin(), sample.end());
-  const auto at = [&](double p) {
-    const auto rank = static_cast<std::size_t>(
-        std::ceil(p / 100.0 * static_cast<double>(sample.size())));
-    return sample[std::min(rank == 0 ? 0 : rank - 1, sample.size() - 1)];
-  };
-  summary.p50 = at(50.0);
-  summary.p95 = at(95.0);
-  summary.p99 = at(99.0);
-  return summary;
-}
-
-/// Escapes a string for use inside a JSON string literal: quotes,
-/// backslashes and control characters; everything else passes through
-/// byte-for-byte (the trajectory files are ASCII plus whatever part numbers
-/// carry).
-inline std::string json_escape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-/// Streaming writer for the BENCH_*.json trajectory files. Keys are emitted
-/// in call order (so every leg's output has a stable field order across
-/// runs), strings go through json_escape, and doubles through bench::fmt —
-/// one JSON dialect for all the run_benches.sh legs instead of per-bench
-/// hand-rolled fprintf format strings. The writer accumulates into a string
-/// (trajectories are small); callers write str() out once at the end.
-class JsonEmitter {
- public:
-  void begin_object() { open('{', nullptr); }
-  void begin_object(const char* key) { open('{', key); }
-  void begin_array(const char* key) { open('[', key); }
-  void end_object() { close('}'); }
-  void end_array() { close(']'); }
-
-  void field(const char* key, std::string_view value) {
-    item(key);
-    out_ += '"';
-    out_ += json_escape(value);
-    out_ += '"';
-  }
-  void field(const char* key, const char* value) {
-    field(key, std::string_view(value));
-  }
-  void field(const char* key, bool value) {
-    item(key);
-    out_ += value ? "true" : "false";
-  }
-  void field(const char* key, double value, int precision = 2) {
-    item(key);
-    out_ += fmt(value, precision);
-  }
-  /// One overload per integer family the benches record; kept exact (no
-  /// double round-trip).
-  void field(const char* key, int value) {
-    item(key);
-    out_ += std::to_string(value);
-  }
-  void field(const char* key, std::size_t value) {
-    item(key);
-    out_ += std::to_string(value);
-  }
-  void field(const char* key, unsigned long long value) {
-    item(key);
-    out_ += std::to_string(value);
-  }
-
-  /// The finished document (call after the last end_object).
-  const std::string& str() const {
-    MEMFP_CHECK(stack_.empty()) << "JsonEmitter: unclosed frame";
-    return out_;
-  }
-
- private:
-  struct Frame {
-    bool first = true;
-  };
-
-  void item(const char* key) {
-    MEMFP_CHECK(!stack_.empty()) << "JsonEmitter: field outside any frame";
-    if (!stack_.back().first) out_ += ',';
-    stack_.back().first = false;
-    out_ += '\n';
-    out_.append(2 * stack_.size(), ' ');
-    if (key != nullptr) {
-      out_ += '"';
-      out_ += json_escape(key);
-      out_ += "\": ";
-    }
-  }
-
-  void open(char bracket, const char* key) {
-    if (stack_.empty()) {
-      MEMFP_CHECK(out_.empty()) << "JsonEmitter: second top-level value";
-    } else {
-      item(key);
-    }
-    out_ += bracket;
-    stack_.push_back(Frame{});
-  }
-
-  void close(char bracket) {
-    MEMFP_CHECK(!stack_.empty()) << "JsonEmitter: close without open";
-    const bool empty_frame = stack_.back().first;
-    stack_.pop_back();
-    if (!empty_frame) {
-      out_ += '\n';
-      out_.append(2 * stack_.size(), ' ');
-    }
-    out_ += bracket;
-    if (stack_.empty()) out_ += '\n';
-  }
-
-  std::string out_;
-  std::vector<Frame> stack_;
-};
-
-/// Shared context header for every trajectory file: who generated it, at
-/// what scale, on how many CPUs. One fixed key order so cross-bench tooling
-/// greps the same prefix everywhere.
-inline void emit_context(JsonEmitter& json) {
-  json.field("generated_by", "tools/run_benches.sh");
-  json.field("bench_scale", bench_scale());
-  json.field("num_cpus", num_cpus_online());
-}
-
-/// Peak resident set size of this process in bytes (VmHWM from
-/// /proc/self/status). Monotone over the process lifetime — read it after
-/// each phase to see which one set the high-water mark. Returns 0 on
-/// platforms without procfs, so callers must treat 0 as "unknown", not
-/// "tiny".
-inline std::size_t peak_rss_bytes() {
-  std::FILE* status = std::fopen("/proc/self/status", "r");
-  if (status == nullptr) return 0;
-  char line[256];
-  std::size_t kib = 0;
-  while (std::fgets(line, sizeof line, status) != nullptr) {
-    if (std::strncmp(line, "VmHWM:", 6) == 0) {
-      kib = static_cast<std::size_t>(std::strtoull(line + 6, nullptr, 10));
-      break;
-    }
-  }
-  std::fclose(status);
-  return kib * 1024;
 }
 
 }  // namespace memfp::bench

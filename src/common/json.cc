@@ -3,6 +3,7 @@
 #include <cctype>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <stdexcept>
 
 namespace memfp {
@@ -234,7 +235,25 @@ double Json::as_number() const {
 }
 
 std::int64_t Json::as_int() const {
-  return static_cast<std::int64_t>(as_number());
+  const double n = as_number();
+  // -2^63 and 2^63 are exact doubles; every integral double in between
+  // converts without overflow.
+  constexpr double kLimit = 9223372036854775808.0;
+  if (!std::isfinite(n) || n != std::trunc(n) || n < -kLimit || n >= kLimit) {
+    char buffer[32];
+    std::snprintf(buffer, sizeof buffer, "%.17g", n);
+    fail(std::string("not an integer: ") + buffer);
+  }
+  return static_cast<std::int64_t>(n);
+}
+
+int Json::as_int32() const {
+  const std::int64_t n = as_int();
+  if (n < std::numeric_limits<int>::min() ||
+      n > std::numeric_limits<int>::max()) {
+    fail("integer out of int range: " + std::to_string(n));
+  }
+  return static_cast<int>(n);
 }
 
 const std::string& Json::as_string() const {

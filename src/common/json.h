@@ -38,10 +38,12 @@ class Json {
   Type type() const { return type_; }
   bool is_null() const { return type_ == Type::kNull; }
 
-  /// Typed accessors; throw std::runtime_error on type mismatch.
+  /// Typed accessors; throw std::runtime_error on type mismatch. as_int and
+  /// as_int32 also throw unless the number is finite, integral and fits.
   bool as_bool() const;
   double as_number() const;
   std::int64_t as_int() const;
+  int as_int32() const;
   const std::string& as_string() const;
   const JsonArray& as_array() const;
   const JsonObject& as_object() const;

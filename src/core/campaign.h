@@ -172,8 +172,8 @@ struct CampaignConfig {
   int num_threads = 0;
   /// false = the naive per-config pipeline: every point re-runs simulate →
   /// extract → train → score from scratch and evaluates its policy with a
-  /// scalar per-threshold replay. Same results, no sharing — the baseline
-  /// bench_campaign measures against.
+  /// scalar per-threshold replay. Same results, no sharing — the oracle the
+  /// tests and perfbench's campaign-sweep check the shared path against.
   bool share_stages = true;
   /// Keep the spilled shard directories after the engine is destroyed.
   bool keep_store = false;

@@ -88,10 +88,10 @@ Tree Tree::from_json(const Json& json, std::size_t index) {
   Tree tree;
   for (const Json& entry : json.at("nodes").as_array()) {
     TreeNode node;
-    node.feature = static_cast<int>(entry.at("f").as_int());
+    node.feature = entry.at("f").as_int32();
     node.threshold = static_cast<float>(entry.at("t").as_number());
-    node.left = static_cast<int>(entry.at("l").as_int());
-    node.right = static_cast<int>(entry.at("r").as_int());
+    node.left = entry.at("l").as_int32();
+    node.right = entry.at("r").as_int32();
     node.value = entry.at("v").as_number();
     tree.nodes_.push_back(node);
   }

@@ -109,10 +109,10 @@ ModelStage stage_from_name(const std::string& name) {
 
 ModelRegistry ModelRegistry::from_json(const Json& json) {
   ModelRegistry registry;
-  registry.next_version_ = static_cast<int>(json.at("next_version").as_int());
+  registry.next_version_ = json.at("next_version").as_int32();
   for (const Json& e : json.at("models").as_array()) {
     ModelVersion entry;
-    entry.version = static_cast<int>(e.at("version").as_int());
+    entry.version = e.at("version").as_int32();
     entry.platform = platform_from_name(e.at("platform").as_string());
     entry.algorithm = e.at("algorithm").as_string();
     entry.benchmark_f1 = e.at("f1").as_number();

@@ -1,5 +1,9 @@
 #include "common/json.h"
 
+#include <cstdint>
+#include <limits>
+#include <stdexcept>
+
 #include <gtest/gtest.h>
 
 namespace memfp {
@@ -61,6 +65,7 @@ TEST(Json, TypeMismatchThrows) {
   EXPECT_THROW(number.as_string(), std::runtime_error);
   EXPECT_THROW(number.as_array(), std::runtime_error);
   EXPECT_THROW(number.at("k"), std::runtime_error);
+  EXPECT_THROW(Json("7").as_int(), std::runtime_error);
 }
 
 TEST(Json, MissingKeyThrows) {
@@ -88,6 +93,32 @@ TEST(Json, EmptyContainers) {
 TEST(Json, IntegersDumpWithoutDecimalPoint) {
   EXPECT_EQ(Json(42).dump(), "42");
   EXPECT_EQ(Json(-7).dump(), "-7");
+}
+
+TEST(Json, AsIntAcceptsEveryIntegralInt64) {
+  EXPECT_EQ(Json::parse("0").as_int(), 0);
+  EXPECT_EQ(Json::parse("-0").as_int(), 0);
+  EXPECT_EQ(Json::parse("4294967296").as_int(), 4294967296LL);
+  EXPECT_EQ(Json::parse("1e3").as_int(), 1000);
+  EXPECT_EQ(Json::parse("-9223372036854775808").as_int(),
+            std::numeric_limits<std::int64_t>::min());
+}
+
+TEST(Json, AsIntRejectsFractionsNonFiniteAndOutOfRange) {
+  // 9223372036854775808 = 2^63, one past the largest int64.
+  for (const char* bad : {"1.9", "-0.5", "1e30", "-1e30", "1e999",
+                          "9223372036854775808"}) {
+    EXPECT_THROW(Json::parse(bad).as_int(), std::runtime_error) << bad;
+  }
+}
+
+TEST(Json, AsInt32RejectsValuesOutsideInt) {
+  EXPECT_EQ(Json::parse("2147483647").as_int32(), 2147483647);
+  EXPECT_EQ(Json::parse("-2147483648").as_int32(), -2147483647 - 1);
+  for (const char* bad : {"2147483648", "-2147483649", "4294967296"}) {
+    EXPECT_THROW(Json::parse(bad).as_int32(), std::runtime_error) << bad;
+  }
+  EXPECT_THROW(Json::parse("2.5").as_int32(), std::runtime_error);
 }
 
 TEST(Json, WhitespaceTolerant) {

@@ -325,6 +325,14 @@ TEST(ModelRegistry, JsonRoundTrip) {
   EXPECT_GT(mutable_restored.add(std::move(next)), id);
 }
 
+TEST(ModelRegistry, FromJsonRejectsVersionOutsideInt) {
+  ModelRegistry registry;
+  registry.add(ModelVersion{});
+  Json json = Json::parse(registry.to_json().dump());
+  json.set("next_version", 4294967297.0);
+  EXPECT_THROW(ModelRegistry::from_json(json), std::runtime_error);
+}
+
 TEST(AlarmSystem, CoalescesRepeatAlarms) {
   AlarmSystem alarms;
   alarms.raise(1, days(1), 0.9);

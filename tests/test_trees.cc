@@ -153,15 +153,21 @@ TEST(Tree, JsonRoundTripPreservesPredictions) {
   }
 }
 
-/// A two-tree GBDT artifact whose second tree splits its root into nodes
-/// `left` and `right` (nodes 1 and 2 are leaves).
-Json gbdt_artifact(int left, int right) {
+/// A two-tree GBDT artifact whose second tree splits its root on feature
+/// `feature` into nodes `left` and `right` (nodes 1 and 2 are leaves). The
+/// three fields are spliced in as raw JSON number text.
+Json gbdt_artifact(const std::string& left, const std::string& right,
+                   const std::string& feature = "0") {
   const std::string leaf = R"({"f":-1,"t":0,"l":-1,"r":-1,"v":0.25})";
   return Json::parse(
       R"({"type":"gbdt","base_score":0,"learning_rate":0.1,"trees":[)"
-      R"({"nodes":[)" + leaf + R"(]},{"nodes":[{"f":0,"t":0.5,"l":)" +
-      std::to_string(left) + R"(,"r":)" + std::to_string(right) +
-      R"(,"v":0},)" + leaf + "," + leaf + "]}]}");
+      R"({"nodes":[)" + leaf + R"(]},{"nodes":[{"f":)" + feature +
+      R"(,"t":0.5,"l":)" + left + R"(,"r":)" + right + R"(,"v":0},)" + leaf +
+      "," + leaf + "]}]}");
+}
+
+Json gbdt_artifact(int left, int right) {
+  return gbdt_artifact(std::to_string(left), std::to_string(right));
 }
 
 /// The message model_from_json throws for `artifact` ("" if none).
@@ -189,6 +195,24 @@ TEST(Tree, FromJsonRejectsOutOfRangeChild) {
 TEST(Tree, FromJsonRejectsSelfLoop) {
   const std::string error = decode_error(gbdt_artifact(0, 2));
   EXPECT_NE(error.find("tree 1 node 0"), std::string::npos) << error;
+}
+
+TEST(Tree, FromJsonRejectsNonIntegralOrOutOfRangeFields) {
+  // Each of these used to load: 2^32 wrapped to a split on feature 0, 1.9
+  // truncated to child 1, and 1e30 was an out-of-range float-to-integer
+  // cast (UB).
+  const struct {
+    Json artifact;
+    const char* message;
+  } cases[] = {
+      {gbdt_artifact("1", "2", "4294967296"), "out of int range"},
+      {gbdt_artifact("1.9", "2"), "not an integer"},
+      {gbdt_artifact("1", "2", "1e30"), "not an integer"},
+  };
+  for (const auto& c : cases) {
+    const std::string error = decode_error(c.artifact);
+    EXPECT_NE(error.find(c.message), std::string::npos) << error;
+  }
 }
 
 TEST(Tree, EmptyTreePredictsZero) {

@@ -18,11 +18,9 @@
 #                    dispatch-equality suites (Simd*, GoldenModels) re-run
 #                    with every kernel pinned to the scalar table
 #   leg 6  bench     bench_micro smoke run (tracked benches execute with
-#                    minimal iterations, so bench binaries can't bit-rot)
-#                    plus tiny-scale bench_fleet, bench_serving and
-#                    bench_campaign passes (sharded driver spill→stream→
-#                    score, the batched serving engine, and the shared-vs-
-#                    naive campaign sweep with its hash identity check)
+#                    minimal iterations, so bench binaries can't bit-rot),
+#                    its raw JSON fed through tools/bench_json.py so the
+#                    BENCH_*.json converter can't bit-rot either
 #   leg 7  perf      perfbench/ (its own CMake package over ../src, so no
 #                    other leg builds it): the harness self-test, which
 #                    includes the pinned full-spec campaign hash, then one
@@ -108,29 +106,25 @@ run_scalar() {
 }
 
 run_bench() {
-  log "leg: bench (bench_micro smoke run)"
+  log "leg: bench (bench_micro smoke run + BENCH JSON converter)"
   local dir="$MATRIX_ROOT/plain"  # reuse the plain (non-sanitizer) configure
   cmake -B "$dir" -S "$ROOT" > /dev/null
   cmake --build "$dir" -j "$JOBS" --target bench_micro
   # One fast pass over the perf-tracked benches: catches bench-only build
   # breaks and runtime crashes without recording numbers (run_benches.sh
   # owns the recorded trajectory).
+  local raw="$MATRIX_ROOT/bench_micro_smoke.json"
   "$dir/bench/bench_micro" \
     --benchmark_filter='^BM_(Extract|FeaturesAt|Gemm|GemmBt)$|^BM_(GbdtTrain|TreeTrain)/rows:2000|^BM_(ForestPredict|GbdtPredict)(Walker)?/rows:2000' \
-    --benchmark_min_time=0.01 > /dev/null
-  # Fleet smoke: a few hundred DIMMs through simulate → spill → stream →
-  # extract → score, so the sharded driver can't bit-rot between perf runs.
-  cmake --build "$dir" -j "$JOBS" --target bench_fleet
-  MEMFP_BENCH_SCALE=0.02 "$dir/bench/bench_fleet" > /dev/null
-  # Serving smoke: the sharded/batched engine end to end (in-memory +
-  # store-backed sweeps and both storm admission runs) at toy scale.
-  cmake --build "$dir" -j "$JOBS" --target bench_serving
-  MEMFP_BENCH_SCALE=0.02 "$dir/bench/bench_serving" > /dev/null
-  # Campaign smoke: the full 48-point sweep shared and naive at toy scale —
-  # the bench aborts if the two campaign hashes diverge, so this doubles as
-  # a byte-identity check on the stage cache.
-  cmake --build "$dir" -j "$JOBS" --target bench_campaign
-  MEMFP_BENCH_SCALE=0.05 "$dir/bench/bench_campaign" > /dev/null
+    --benchmark_min_time=0.01 \
+    --benchmark_out="$raw" --benchmark_out_format=json > /dev/null
+  # Every converter kind over the smoke output, into scratch paths: the
+  # committed BENCH files are never touched.
+  local kind
+  for kind in train extract predict simd; do
+    python3 "$ROOT/tools/bench_json.py" "$kind" \
+      "$MATRIX_ROOT/BENCH_${kind}_smoke.json" "$raw" > /dev/null
+  done
 }
 
 run_perf() {

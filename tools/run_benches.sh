@@ -22,31 +22,10 @@
 #                       what each vector lane is worth over the scalar
 #                       reference on this hardware — rerun after changes to
 #                       src/common/simd*.
-#   BENCH_fleet.json    sharded fleet driver scale sweep (10^4 -> 10^6
-#                       DIMMs, 56-day horizon): DIMMs/sec, events/sec,
-#                       encoded bytes/event and peak RSS per point — rerun
-#                       after changes to src/sim/trace_store.* or
-#                       src/core/fleet_driver.*. Written by bench_fleet
-#                       itself; expect ~15 minutes for the full sweep.
-#   BENCH_serving.json  online serving engine: events/sec and p50/p99 tick
-#                       latency for the frozen serial-baseline workload
-#                       (vs the pre-engine loop at d688675), a 10^5-DIMM
-#                       in-memory + store-backed sweep, and the CE-storm
-#                       admission on/off comparison — rerun after changes
-#                       to src/mlops/serving.* or src/features/window_*.
-#                       Written by bench_serving itself.
-#   BENCH_campaign.json campaign engine: a 48-point fault × ECC × predictor
-#                       × policy sweep run through the content-addressed
-#                       stage cache vs the naive per-config pipeline at the
-#                       same thread count — records per-stage execution
-#                       counts, the wall-clock speedup and the matched
-#                       campaign hash (the two paths are byte-identical) —
-#                       rerun after changes to src/core/campaign.* or
-#                       src/core/stage_cache.*. Written by bench_campaign
-#                       itself.
 # Each file records the baseline, the current numbers, and the speedup.
-# The sanitizer refusal below covers every emitted file, BENCH_fleet.json
-# included: instrumented builds never record numbers.
+# tools/bench_json.py turns each raw google-benchmark file into its BENCH
+# file and holds the frozen baselines. End-to-end fleet, serving and
+# campaign numbers come from perfbench/ (BENCHMARK.json), not from here.
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
@@ -68,174 +47,24 @@ fi
 
 cmake --build "$BUILD" -j --target bench_micro
 
+# micro RAW FILTER: one bench_micro pass, written as google-benchmark JSON.
+micro() {
+  "$BUILD/bench/bench_micro" --benchmark_filter="$2" \
+    --benchmark_out="$1" --benchmark_out_format=json >&2
+}
+CONVERT=(python3 "$ROOT/tools/bench_json.py")
+
 RAW="$BUILD/bench_train_raw.json"
-"$BUILD/bench/bench_micro" \
-  --benchmark_filter='^BM_(GbdtTrain|TreeTrain)/' \
-  --benchmark_out="$RAW" --benchmark_out_format=json >&2
-
-python3 - "$RAW" "$ROOT/BENCH_train.json" <<'EOF'
-import json
-import sys
-
-raw_path, out_path = sys.argv[1], sys.argv[2]
-with open(raw_path) as f:
-    raw = json.load(f)
-
-# Pre-refactor single-thread wall times (ms, best of 3) measured at commit
-# 2ff4ea7 with the same generators/params as the benches: 30 features,
-# GBDT 30 rounds / single default classification tree.
-BASELINE_MS = {
-    "BM_GbdtTrain": {"2000": 31.28, "10000": 139.64, "50000": 994.61},
-    "BM_TreeTrain": {"2000": 1.01, "10000": 7.87, "50000": 49.08},
-}
-
-current = {}
-for entry in raw.get("benchmarks", []):
-    name = entry["name"]  # e.g. BM_GbdtTrain/rows:50000
-    if entry.get("run_type", "iteration") != "iteration":
-        continue
-    bench, _, arg = name.partition("/rows:")
-    if bench not in BASELINE_MS or not arg:
-        continue
-    current.setdefault(bench, {})[arg] = round(entry["real_time"], 2)
-
-speedup = {}
-for bench, rows in BASELINE_MS.items():
-    for arg, base in rows.items():
-        now = current.get(bench, {}).get(arg)
-        if now:
-            speedup.setdefault(bench, {})[arg] = round(base / now, 2)
-
-out = {
-    "generated_by": "tools/run_benches.sh",
-    "threads": 1,
-    "context": raw.get("context", {}),
-    "baseline_commit": "2ff4ea7",
-    "baseline_ms": BASELINE_MS,
-    "current_ms": current,
-    "speedup": speedup,
-}
-with open(out_path, "w") as f:
-    json.dump(out, f, indent=2, sort_keys=True)
-    f.write("\n")
-print(json.dumps(speedup, indent=2, sort_keys=True))
-EOF
+micro "$RAW" '^BM_(GbdtTrain|TreeTrain)/'
+"${CONVERT[@]}" train "$ROOT/BENCH_train.json" "$RAW"
 
 RAW_EXTRACT="$BUILD/bench_extract_raw.json"
-"$BUILD/bench/bench_micro" \
-  --benchmark_filter='^BM_(Extract|FeaturesAt|Gemm|GemmBt)$' \
-  --benchmark_out="$RAW_EXTRACT" --benchmark_out_format=json >&2
-
-python3 - "$RAW_EXTRACT" "$ROOT/BENCH_extract.json" <<'EOF'
-import json
-import sys
-
-raw_path, out_path = sys.argv[1], sys.argv[2]
-with open(raw_path) as f:
-    raw = json.load(f)
-
-# Pre-incremental wall times (ms, median) measured at commit 65df1cd with
-# the same generators as the benches: BM_Extract = full-trace batch
-# extraction (storm-heavy, hourly cadence, 5000 ticks); BM_FeaturesAt = 200
-# successive per-DIMM serving calls (the old path deep-copied the trace and
-# rebuilt an extractor per call); BM_Gemm / BM_GemmBt = dense 256x64 @ 64x64
-# products before the unrolled kernels.
-BASELINE_MS = {
-    "BM_Extract": 800.0,
-    "BM_FeaturesAt": 391.0,
-    "BM_Gemm": 0.617,
-    "BM_GemmBt": 0.437,
-}
-
-UNIT_TO_MS = {"ns": 1e-6, "us": 1e-3, "ms": 1.0, "s": 1e3}
-
-current = {}
-for entry in raw.get("benchmarks", []):
-    name = entry["name"]
-    if entry.get("run_type", "iteration") != "iteration":
-        continue
-    if name not in BASELINE_MS:
-        continue
-    scale = UNIT_TO_MS[entry.get("time_unit", "ns")]
-    current[name] = round(entry["real_time"] * scale, 4)
-
-speedup = {
-    bench: round(base / current[bench], 2)
-    for bench, base in BASELINE_MS.items()
-    if current.get(bench)
-}
-
-out = {
-    "generated_by": "tools/run_benches.sh",
-    "threads": 1,
-    "context": raw.get("context", {}),
-    "baseline_commit": "65df1cd",
-    "baseline_ms": BASELINE_MS,
-    "current_ms": current,
-    "speedup": speedup,
-}
-with open(out_path, "w") as f:
-    json.dump(out, f, indent=2, sort_keys=True)
-    f.write("\n")
-print(json.dumps(speedup, indent=2, sort_keys=True))
-EOF
+micro "$RAW_EXTRACT" '^BM_(Extract|FeaturesAt|Gemm|GemmBt)$'
+"${CONVERT[@]}" extract "$ROOT/BENCH_extract.json" "$RAW_EXTRACT"
 
 RAW_PREDICT="$BUILD/bench_predict_raw.json"
-"$BUILD/bench/bench_micro" \
-  --benchmark_filter='^BM_(ForestPredict|GbdtPredict)(Walker)?/' \
-  --benchmark_out="$RAW_PREDICT" --benchmark_out_format=json >&2
-
-python3 - "$RAW_PREDICT" "$ROOT/BENCH_predict.json" <<'EOF'
-import json
-import sys
-
-raw_path, out_path = sys.argv[1], sys.argv[2]
-with open(raw_path) as f:
-    raw = json.load(f)
-
-# Baseline = the *Walker benches from this same run: per row, walk every
-# pointer-linked tree (the pre-flat-ensemble inference path, semantics frozen
-# at commit 3f39d4a). Current = Model::predict_batch through the compiled
-# FlatEnsemble. Both run single-threaded on identical inputs, so the speedup
-# column isolates the flat-layout + 64-row-block batching win.
-BENCHES = ("BM_ForestPredict", "BM_GbdtPredict")
-
-baseline = {}
-current = {}
-for entry in raw.get("benchmarks", []):
-    name = entry["name"]  # e.g. BM_GbdtPredictWalker/rows:50000
-    if entry.get("run_type", "iteration") != "iteration":
-        continue
-    bench, _, arg = name.partition("/rows:")
-    if not arg:
-        continue
-    ms = round(entry["real_time"], 2)
-    if bench.endswith("Walker"):
-        baseline.setdefault(bench[: -len("Walker")], {})[arg] = ms
-    elif bench in BENCHES:
-        current.setdefault(bench, {})[arg] = ms
-
-speedup = {}
-for bench, rows in baseline.items():
-    for arg, base in rows.items():
-        now = current.get(bench, {}).get(arg)
-        if now:
-            speedup.setdefault(bench, {})[arg] = round(base / now, 2)
-
-out = {
-    "generated_by": "tools/run_benches.sh",
-    "threads": 1,
-    "context": raw.get("context", {}),
-    "baseline_commit": "3f39d4a",
-    "baseline_ms": baseline,
-    "current_ms": current,
-    "speedup": speedup,
-}
-with open(out_path, "w") as f:
-    json.dump(out, f, indent=2, sort_keys=True)
-    f.write("\n")
-print(json.dumps(speedup, indent=2, sort_keys=True))
-EOF
+micro "$RAW_PREDICT" '^BM_(ForestPredict|GbdtPredict)(Walker)?/'
+"${CONVERT[@]}" predict "$ROOT/BENCH_predict.json" "$RAW_PREDICT"
 
 # Per-dispatch-lane timings. The context block knows which lanes this host
 # can run (bench_micro stamps simd_supported into every raw file — reuse
@@ -248,71 +77,8 @@ SUPPORTED="$(python3 -c \
 SIMD_RAWS=()
 for level in $SUPPORTED; do
   raw="$BUILD/bench_simd_${level}_raw.json"
-  MEMFP_SIMD="$level" "$BUILD/bench/bench_micro" \
-    --benchmark_filter='^BM_(TreeTrain|ForestPredict|GbdtPredict)/rows:50000$|^BM_(Gemm|GemmBt)$' \
-    --benchmark_out="$raw" --benchmark_out_format=json >&2
+  MEMFP_SIMD="$level" micro "$raw" \
+    '^BM_(TreeTrain|ForestPredict|GbdtPredict)/rows:50000$|^BM_(Gemm|GemmBt)$'
   SIMD_RAWS+=("$raw")
 done
-
-python3 - "$ROOT/BENCH_simd.json" "${SIMD_RAWS[@]}" <<'EOF'
-import json
-import sys
-
-out_path, raw_paths = sys.argv[1], sys.argv[2:]
-
-UNIT_TO_MS = {"ns": 1e-6, "us": 1e-3, "ms": 1.0, "s": 1e3}
-
-levels_ms = {}
-context = {}
-for raw_path in raw_paths:
-    with open(raw_path) as f:
-        raw = json.load(f)
-    ctx = raw.get("context", {})
-    level = ctx.get("simd_level", "unknown")
-    if not context:
-        context = ctx
-    timings = {}
-    for entry in raw.get("benchmarks", []):
-        if entry.get("run_type", "iteration") != "iteration":
-            continue
-        scale = UNIT_TO_MS[entry.get("time_unit", "ns")]
-        timings[entry["name"]] = round(entry["real_time"] * scale, 4)
-    levels_ms[level] = timings
-
-scalar = levels_ms.get("scalar", {})
-speedup = {
-    level: {
-        name: round(scalar[name] / ms, 2)
-        for name, ms in timings.items()
-        if scalar.get(name)
-    }
-    for level, timings in levels_ms.items()
-    if level != "scalar"
-}
-
-out = {
-    "generated_by": "tools/run_benches.sh",
-    "threads": 1,
-    "context": context,
-    "cpu_features": context.get("cpu_features", ""),
-    "simd_supported": context.get("simd_supported", ""),
-    "levels_ms": levels_ms,
-    "speedup_vs_scalar": speedup,
-}
-with open(out_path, "w") as f:
-    json.dump(out, f, indent=2, sort_keys=True)
-    f.write("\n")
-print(json.dumps(speedup, indent=2, sort_keys=True))
-EOF
-
-cmake --build "$BUILD" -j --target bench_fleet
-"$BUILD/bench/bench_fleet" "$ROOT/BENCH_fleet.json" >&2
-python3 -c "import json,sys; print(json.dumps(json.load(open(sys.argv[1]))['points'], indent=2))" "$ROOT/BENCH_fleet.json"
-
-cmake --build "$BUILD" -j --target bench_serving
-"$BUILD/bench/bench_serving" "$ROOT/BENCH_serving.json" >&2
-python3 -c "import json,sys; d=json.load(open(sys.argv[1])); print(json.dumps({'points': d['points'], 'storm': d['storm']}, indent=2))" "$ROOT/BENCH_serving.json"
-
-cmake --build "$BUILD" -j --target bench_campaign
-"$BUILD/bench/bench_campaign" "$ROOT/BENCH_campaign.json" >&2
-python3 -c "import json,sys; d=json.load(open(sys.argv[1])); print(json.dumps({'naive': d['naive'], 'shared': d['shared'], 'speedup': d['speedup']}, indent=2))" "$ROOT/BENCH_campaign.json"
+"${CONVERT[@]}" simd "$ROOT/BENCH_simd.json" "${SIMD_RAWS[@]}"
