@@ -170,12 +170,6 @@ struct KernelTable {
                         const float* thresholds, int count,
                         std::uint8_t* codes);
 
-  /// Fixed-width histogram bin indices with Histogram::add's exact edge
-  /// clamping: out[i] = values[i] > lo ? min((values[i] - lo) / width,
-  /// bins - 1) : 0.
-  void (*fixed_bins)(const double* values, std::size_t n, double lo,
-                     double width, std::size_t bins, std::uint32_t* out);
-
   /// out[m x n] += a[m x k] * b[k x n], row-major, ikj order.
   void (*gemm)(const float* a, const float* b, float* out, std::size_t m,
                std::size_t k, std::size_t n);

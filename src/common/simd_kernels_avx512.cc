@@ -262,7 +262,6 @@ const KernelTable kAvx512Table = {
     generic::gini_gain_scan<8>,
     partition_avx512,
     generic::bin_transform<16>,
-    generic::fixed_bins<8>,
     generic::gemm<16>,
     generic::gemm_at<16>,
     gemm_bt_avx512,

@@ -31,7 +31,6 @@ const KernelTable kNeonTable = {
     generic::gini_gain_scan<2>,
     /*partition=*/nullptr,
     generic::bin_transform<4>,
-    generic::fixed_bins<2>,
     generic::gemm<4>,
     generic::gemm_at<4>,
     gemm_bt_neon,

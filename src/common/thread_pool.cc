@@ -1,38 +1,60 @@
 #include "common/thread_pool.h"
 
+#include <algorithm>
+#include <atomic>
 #include <condition_variable>
 #include <cstdlib>
-#include <deque>
 #include <exception>
 #include <memory>
 #include <mutex>
+#include <vector>
 
 #include "common/check.h"
 
 namespace memfp {
 namespace {
 
-/// Which pool (if any) owns the current thread, and its worker index.
-/// Lets submit() push nested tasks onto the owning worker's own deque.
-thread_local ThreadPool* tls_pool = nullptr;
-thread_local int tls_worker = -1;
-
 std::atomic<int> g_width_limit{0};  // 0 = uncapped
+
+/// One parallel section, on the stack of the thread that opened it.
+struct Section {
+  const std::function<void(std::size_t)>* body = nullptr;
+  std::size_t chunks = 0;
+  std::atomic<std::size_t> cursor{0};
+  std::atomic<bool> failed{false};
+  std::mutex error_mutex;
+  std::exception_ptr error;  // guarded by error_mutex
+  // Guarded by the pool mutex: helper slots not yet taken, and helpers
+  // currently inside run().
+  int free_slots = 0;
+  int helpers = 0;
+  std::condition_variable helpers_left;
+
+  /// Claims and executes chunks until the cursor is exhausted. Once a chunk
+  /// threw, the remaining chunks are claimed but skipped.
+  void run() {
+    for (;;) {
+      const std::size_t c = cursor.fetch_add(1, std::memory_order_relaxed);
+      if (c >= chunks) return;
+      if (failed.load(std::memory_order_acquire)) continue;
+      try {
+        (*body)(c);
+      } catch (...) {
+        std::lock_guard<std::mutex> lock(error_mutex);
+        if (!error) error = std::current_exception();
+        failed.store(true, std::memory_order_release);
+      }
+    }
+  }
+};
 
 }  // namespace
 
-struct ThreadPool::WorkerQueue {
-  std::mutex mutex;
-  std::deque<std::function<void()>> tasks;
-};
-
 struct ThreadPool::Impl {
-  std::vector<std::unique_ptr<WorkerQueue>> queues;
-  std::mutex sleep_mutex;
-  std::condition_variable sleep_cv;
-  std::atomic<std::size_t> pending{0};
-  std::atomic<bool> stopping{false};
-  std::atomic<unsigned> next_victim{0};
+  std::mutex mutex;
+  std::condition_variable wake;
+  std::vector<Section*> open;  // sections with free slots, oldest first
+  bool stopping = false;
 };
 
 ThreadPool::ThreadPool(int threads, int default_width)
@@ -44,29 +66,19 @@ ThreadPool::ThreadPool(int threads, int default_width)
   default_width_ = default_width > 0 && default_width < want ? default_width
                                                              : want;
   const int workers = want > 1 ? want - 1 : 0;
-  impl_->queues.reserve(static_cast<std::size_t>(workers));
-  for (int i = 0; i < workers; ++i) {
-    impl_->queues.push_back(std::make_unique<WorkerQueue>());
-  }
   workers_.reserve(static_cast<std::size_t>(workers));
   for (int i = 0; i < workers; ++i) {
-    workers_.emplace_back([this, i] { worker_loop(i); });
+    workers_.emplace_back([this] { worker_loop(); });
   }
 }
 
 ThreadPool::~ThreadPool() {
   {
-    // The lock pairs with the sleep predicate: a worker between its predicate
-    // check and the actual wait would otherwise miss this notification.
-    std::lock_guard<std::mutex> lock(impl_->sleep_mutex);
-    impl_->stopping.store(true, std::memory_order_release);
+    std::lock_guard<std::mutex> lock(impl_->mutex);
+    impl_->stopping = true;
   }
-  impl_->sleep_cv.notify_all();
+  impl_->wake.notify_all();
   for (std::thread& worker : workers_) worker.join();
-  // Workers drain their queues before exiting, but tasks submitted from
-  // outside after the last worker checked may remain: run them here.
-  while (try_run_one(-1)) {
-  }
 }
 
 int ThreadPool::default_threads() {
@@ -102,126 +114,24 @@ int ThreadPool::current_limit() {
   return g_width_limit.load(std::memory_order_relaxed);
 }
 
-void ThreadPool::submit(std::function<void()> task) {
-  MEMFP_CHECK(task != nullptr) << "submitted an empty task";
-  if (impl_->queues.empty()) {
-    task();  // no workers: degenerate single-thread pool runs inline
-    return;
-  }
-  int target;
-  if (tls_pool == this && tls_worker >= 0) {
-    target = tls_worker;  // nested: keep the task hot on the owner's deque
-  } else {
-    target = static_cast<int>(
-        impl_->next_victim.fetch_add(1, std::memory_order_relaxed) %
-        impl_->queues.size());
-  }
-  {
-    std::lock_guard<std::mutex> lock(impl_->queues[
-        static_cast<std::size_t>(target)]->mutex);
-    impl_->queues[static_cast<std::size_t>(target)]->tasks.push_back(
-        std::move(task));
-  }
-  {
-    // See ~ThreadPool: the empty critical section orders this increment
-    // against a worker's predicate check so the wakeup cannot be lost.
-    std::lock_guard<std::mutex> lock(impl_->sleep_mutex);
-    impl_->pending.fetch_add(1, std::memory_order_release);
-  }
-  impl_->sleep_cv.notify_one();
-}
-
-bool ThreadPool::try_run_one(int self_index) {
-  std::function<void()> task;
-  const std::size_t queues = impl_->queues.size();
-  // Own deque first (LIFO: newest task is cache-hot), then steal from the
-  // other workers' deque fronts (FIFO: oldest task limits contention).
-  if (self_index >= 0) {
-    WorkerQueue& own = *impl_->queues[static_cast<std::size_t>(self_index)];
-    std::lock_guard<std::mutex> lock(own.mutex);
-    if (!own.tasks.empty()) {
-      task = std::move(own.tasks.back());
-      own.tasks.pop_back();
-    }
-  }
-  if (!task) {
-    for (std::size_t step = 0; step < queues && !task; ++step) {
-      const std::size_t victim =
-          (static_cast<std::size_t>(self_index >= 0 ? self_index : 0) + 1 +
-           step) %
-          queues;
-      if (self_index >= 0 && victim == static_cast<std::size_t>(self_index)) {
-        continue;
-      }
-      WorkerQueue& other = *impl_->queues[victim];
-      std::lock_guard<std::mutex> lock(other.mutex);
-      if (!other.tasks.empty()) {
-        task = std::move(other.tasks.front());
-        other.tasks.pop_front();
-      }
-    }
-  }
-  if (!task) return false;
-  impl_->pending.fetch_sub(1, std::memory_order_release);
-  task();
-  return true;
-}
-
-void ThreadPool::worker_loop(int index) {
-  tls_pool = this;
-  tls_worker = index;
+void ThreadPool::worker_loop() {
+  Impl& pool = *impl_;
+  std::unique_lock<std::mutex> lock(pool.mutex);
   for (;;) {
-    if (try_run_one(index)) continue;
-    std::unique_lock<std::mutex> lock(impl_->sleep_mutex);
-    impl_->sleep_cv.wait(lock, [this] {
-      return impl_->pending.load(std::memory_order_acquire) > 0 ||
-             impl_->stopping.load(std::memory_order_acquire);
-    });
-    if (impl_->stopping.load(std::memory_order_acquire) &&
-        impl_->pending.load(std::memory_order_acquire) == 0) {
-      break;
-    }
+    pool.wake.wait(lock, [&] { return pool.stopping || !pool.open.empty(); });
+    if (pool.open.empty()) return;  // stopping, and no section is open
+    // The newest section is the innermost one a busy thread is draining.
+    Section* s = pool.open.back();
+    if (--s->free_slots == 0) pool.open.pop_back();
+    ++s->helpers;
+    lock.unlock();
+    s->run();
+    lock.lock();
+    // Notify under the lock: once it is released the owner may return and
+    // destroy the section.
+    if (--s->helpers == 0) s->helpers_left.notify_one();
   }
-  tls_pool = nullptr;
-  tls_worker = -1;
 }
-
-namespace {
-
-/// Shared state of one parallel section. Heap-allocated and shared with the
-/// runner tasks so a runner that starts after the section already finished
-/// (its chunks all claimed by faster threads) still has valid state to read.
-struct Section {
-  const std::function<void(std::size_t)>* body = nullptr;
-  std::size_t chunks = 0;
-  std::atomic<std::size_t> cursor{0};
-  std::atomic<bool> failed{false};
-  std::exception_ptr error;
-  std::mutex mutex;  // guards error + completion signalling
-  std::condition_variable done_cv;
-  std::size_t completed = 0;
-
-  /// Claims and executes chunks until the cursor is exhausted.
-  void run() {
-    for (;;) {
-      const std::size_t c = cursor.fetch_add(1, std::memory_order_relaxed);
-      if (c >= chunks) return;
-      if (!failed.load(std::memory_order_acquire)) {
-        try {
-          (*body)(c);
-        } catch (...) {
-          std::lock_guard<std::mutex> lock(mutex);
-          if (!error) error = std::current_exception();
-          failed.store(true, std::memory_order_release);
-        }
-      }
-      std::lock_guard<std::mutex> lock(mutex);
-      if (++completed == chunks) done_cv.notify_all();
-    }
-  }
-};
-
-}  // namespace
 
 void ThreadPool::run_chunked(std::size_t chunks,
                              const std::function<void(std::size_t)>& body) {
@@ -233,27 +143,33 @@ void ThreadPool::run_chunked(std::size_t chunks,
     width = static_cast<int>(chunks);
   }
   if (width <= 1 || workers_.empty()) {
-    // Serial fallback: same chunk order as the ordered reduction, so
+    // Serial fallback: the same chunks in ascending order, so
     // single-threaded results are bit-identical to the parallel ones.
     for (std::size_t c = 0; c < chunks; ++c) body(c);
     return;
   }
 
-  auto section = std::make_shared<Section>();
-  section->body = &body;
-  section->chunks = chunks;
-  for (int r = 0; r < width - 1; ++r) {
-    submit([section] { section->run(); });
-  }
-  section->run();  // the calling thread is always one of the runners
+  Impl& pool = *impl_;
+  Section section;
+  section.body = &body;
+  section.chunks = chunks;
+  section.free_slots = width - 1;
   {
-    std::unique_lock<std::mutex> lock(section->mutex);
-    section->done_cv.wait(lock,
-                          [&] { return section->completed == chunks; });
-    if (section->error) std::rethrow_exception(section->error);
+    std::lock_guard<std::mutex> lock(pool.mutex);
+    pool.open.push_back(&section);
   }
-  // `body` may now be destroyed; straggler runners only touch the cursor.
-  section->body = nullptr;
+  for (int i = 0; i < width - 1; ++i) pool.wake.notify_one();
+  section.run();  // the calling thread is always one of the executors
+  {
+    // Every chunk is claimed, and each one is run by this thread or by a
+    // helper still inside run(): once the section is closed and the last
+    // helper has left, all chunks are done.
+    std::unique_lock<std::mutex> lock(pool.mutex);
+    const auto it = std::find(pool.open.begin(), pool.open.end(), &section);
+    if (it != pool.open.end()) pool.open.erase(it);  // not fully staffed
+    section.helpers_left.wait(lock, [&] { return section.helpers == 0; });
+  }
+  if (section.error) std::rethrow_exception(section.error);
 }
 
 }  // namespace memfp

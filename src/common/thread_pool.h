@@ -1,34 +1,32 @@
-// Deterministic work-stealing thread pool.
+// Deterministic thread pool.
 //
 // The fleet simulator, the forest/GBDT trainers and the per-DIMM scorer are
 // all embarrassingly parallel, but the project's reproducibility contract
 // ("same seed => same Table II numbers") must survive parallelisation. The
-// pool therefore guarantees that `parallel_for` / `parallel_reduce` results
-// depend only on (n, grain), never on the number of threads or on scheduling:
+// pool therefore guarantees that the chunks of a `parallel_for` /
+// `parallel_for_chunks` section depend only on (n, grain), never on the
+// number of threads or on scheduling:
 //
 //   * every index writes to its own output slot (caller's responsibility),
 //   * chunk boundaries are a pure function of n and grain,
-//   * `parallel_reduce` folds chunk partials in ascending chunk order on the
-//     calling thread,
+//   * a reduction writes one partial per chunk and the caller folds the
+//     partials serially in ascending chunk order,
 //   * per-task randomness comes from `Rng::fork(index)`, which derives a
 //     child stream from the parent state and the task index without
 //     advancing the parent.
 //
-// Scheduling is classic work-stealing: each worker owns a deque (LIFO for
-// its own tasks, FIFO for thieves), and parallel sections are executed by
-// "runner" tasks that pull chunk indices from a shared atomic cursor, so an
-// idle worker automatically steals whatever chunks remain. The calling
-// thread always participates as a runner, which makes nested parallel
-// sections deadlock-free: a worker that opens an inner section drains it
-// itself even when every other worker is busy.
+// A parallel section is the only unit of work. It lives on the calling
+// thread's stack and offers `width - 1` helper slots; idle workers sleep on
+// one condition variable and join the newest open section, then claim chunk
+// indices from its shared atomic cursor. The calling thread runs chunks too,
+// which makes nested sections deadlock-free: a worker that opens an inner
+// section drains it itself even when every other worker is busy.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <functional>
 #include <memory>
 #include <thread>
-#include <utility>
 #include <vector>
 
 namespace memfp {
@@ -72,10 +70,6 @@ class ThreadPool {
   };
   static int current_limit();
 
-  /// Fire-and-forget task. Runs inline when the pool has no workers. The
-  /// destructor drains all queued tasks before returning.
-  void submit(std::function<void()> task);
-
   /// Calls body(i) for every i in [0, n). Blocks until all calls finished;
   /// rethrows the first exception a body threw. The iteration->chunk mapping
   /// depends only on n and grain (grain 0 = default_grain(n)), so any
@@ -97,7 +91,8 @@ class ThreadPool {
   /// (n, grain), so index->chunk assignment is identical for every thread
   /// count; callers use this to reuse a scratch buffer across all indices of
   /// a chunk instead of allocating per index (e.g. the per-feature column
-  /// gather in BinMapper).
+  /// gather in BinMapper), or to write one partial per chunk and fold the
+  /// partials serially in chunk order for a bit-identical reduction.
   template <typename Body>
   void parallel_for_chunks(std::size_t n, Body&& body, std::size_t grain = 0) {
     if (n == 0) return;
@@ -110,30 +105,6 @@ class ThreadPool {
     });
   }
 
-  /// Ordered map-reduce: map(begin, end) produces one partial per chunk and
-  /// the partials are folded as acc = reduce(acc, partial) in ascending
-  /// chunk order on the calling thread. Because chunking depends only on
-  /// (n, grain), the result is bit-identical for every thread count — even
-  /// for non-associative reductions (floating-point sums, concatenation).
-  template <typename T, typename MapFn, typename ReduceFn>
-  T parallel_reduce(std::size_t n, T init, MapFn&& map, ReduceFn&& reduce,
-                    std::size_t grain = 0) {
-    if (n == 0) return init;
-    const std::size_t g = grain > 0 ? grain : default_grain(n);
-    const std::size_t chunks = (n + g - 1) / g;
-    std::vector<T> partials(chunks);
-    run_chunked(chunks, [&](std::size_t c) {
-      const std::size_t begin = c * g;
-      const std::size_t end = begin + g < n ? begin + g : n;
-      partials[c] = map(begin, end);
-    });
-    T acc = std::move(init);
-    for (std::size_t c = 0; c < chunks; ++c) {
-      acc = reduce(std::move(acc), std::move(partials[c]));
-    }
-    return acc;
-  }
-
   /// Default chunk size: a pure function of n (NOT of the thread count, so
   /// reductions stay deterministic). Caps the chunk count at 64.
   static std::size_t default_grain(std::size_t n) {
@@ -142,16 +113,14 @@ class ThreadPool {
 
  private:
   struct Impl;
-  struct WorkerQueue;
 
   /// Executes body(c) for every chunk c in [0, chunks): inline when the
-  /// effective width is 1, otherwise via width-1 stealing runner tasks plus
-  /// the calling thread. Rethrows the first exception.
+  /// effective width is 1, otherwise as a section the calling thread shares
+  /// with up to width-1 workers. Rethrows the first exception.
   void run_chunked(std::size_t chunks,
                    const std::function<void(std::size_t)>& body);
 
-  void worker_loop(int index);
-  bool try_run_one(int self_index);
+  void worker_loop();
 
   std::unique_ptr<Impl> impl_;
   int default_width_;

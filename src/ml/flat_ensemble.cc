@@ -126,6 +126,8 @@ FlatEnsemble FlatEnsemble::build(std::span<const Tree> trees,
         MEMFP_CHECK(!std::isnan(node.threshold))
             << "flat ensemble: NaN split threshold in tree";
         flat.feature_.push_back(node.feature);
+        flat.row_width_ = std::max(flat.row_width_,
+                                   static_cast<std::size_t>(node.feature) + 1);
         flat.threshold_.push_back(node.threshold);
         flat.left_.push_back(base + static_cast<std::int32_t>(order.size()));
         flat.value_.push_back(0.0);
@@ -153,7 +155,6 @@ void FlatEnsemble::pack() {
   packed_.clear();
   packed_binned_.clear();
   packed_ok_ = false;
-  max_feature_ = 0;
   packed_.resize(feature_.size());
   for (std::size_t i = 0; i < feature_.size(); ++i) {
     const std::int64_t delta = static_cast<std::int64_t>(left_[i]) -
@@ -170,13 +171,15 @@ void FlatEnsemble::pack() {
     packed_[i] = static_cast<std::uint64_t>(tbits) |
                  (static_cast<std::uint64_t>(feature_[i]) << 32) |
                  (static_cast<std::uint64_t>(delta) << 48);
-    max_feature_ = std::max(max_feature_, feature_[i]);
   }
   packed_ok_ = true;
 }
 
 double FlatEnsemble::predict_row(std::span<const float> features,
                                  double init) const {
+  MEMFP_CHECK_GE(features.size(), row_width_)
+      << "flat ensemble: row has " << features.size()
+      << " features but a split reads feature " << row_width_ - 1;
   constexpr float kInf = std::numeric_limits<float>::infinity();
   double acc = init;
   for (std::size_t t = 0; t < roots_.size(); ++t) {
@@ -200,6 +203,9 @@ double FlatEnsemble::predict_row(std::span<const float> features,
 void FlatEnsemble::score_float(const Matrix& x, double init, bool accumulate,
                                std::span<double> out) const {
   MEMFP_CHECK_EQ(out.size(), x.rows());
+  MEMFP_CHECK_GE(x.cols(), row_width_)
+      << "flat ensemble: rows have " << x.cols()
+      << " features but a split reads feature " << row_width_ - 1;
   constexpr float kInf = std::numeric_limits<float>::infinity();
   const NodeView v{feature_.data(), threshold_.data(), bin_.data(),
                    left_.data(),    value_.data(),     roots_.data(),
@@ -298,7 +304,7 @@ void FlatEnsemble::score_binned(const std::uint8_t* codes, std::size_t rows,
   const simd::KernelTable& kt = simd::kernels();
   const bool use_simd =
       kt.flat_binned_block != nullptr && !packed_binned_.empty() &&
-      static_cast<std::size_t>(max_feature_ + 1) * rows <
+      std::max<std::size_t>(row_width_, 1) * rows <
           (std::size_t{1} << 31);
   ThreadPool::global().parallel_for_chunks(
       rows,

@@ -71,7 +71,8 @@ class FlatEnsemble {
   int max_depth() const { return max_depth_; }
 
   /// init + sum of (scaled) leaf values for one float row, accumulated in
-  /// tree order — bit-identical to walking each Tree in sequence.
+  /// tree order — bit-identical to walking each Tree in sequence. Float
+  /// rows must be wide enough for every split's feature (MEMFP_CHECK).
   double predict_row(std::span<const float> features, double init) const;
 
   /// Batch scoring: out[r] = init + sum over trees, for every row of x.
@@ -117,6 +118,9 @@ class FlatEnsemble {
   std::vector<std::int32_t> roots_;   // per-tree root node index
   std::vector<std::int32_t> depths_;  // per-tree max root->leaf edge count
   int max_depth_ = 0;
+  // 1 + the widest feature any split reads: float rows narrower than this
+  // are rejected before descent could read past them.
+  std::size_t row_width_ = 0;
   bool binned_ = false;
 
   /// Packs the SoA node arrays into one uint64 per node — float threshold
@@ -130,7 +134,6 @@ class FlatEnsemble {
   std::vector<std::uint64_t> packed_;         // valid iff packed_ok_
   std::vector<std::uint64_t> packed_binned_;  // low 32 bits = bin; after bind()
   bool packed_ok_ = false;
-  std::int32_t max_feature_ = 0;
 };
 
 /// Thread-safe lazily-compiled FlatEnsemble shared by a model's const

@@ -9,6 +9,11 @@
 namespace memfp::mlops {
 namespace {
 
+/// Streams per serving cohort (the cache-blocking factor of serve_shard's
+/// sweep). Larger cohorts fill inference batches better, smaller ones stay
+/// hotter; results are byte-identical at any value.
+constexpr std::size_t kCohort = 16;
+
 std::uint64_t fold_score(std::uint64_t h, dram::DimmId dimm, SimTime t,
                          double score) {
   h = sim::fnv1a_u64(h, static_cast<std::uint64_t>(dimm));
@@ -171,11 +176,10 @@ ServingEngine::ShardOutput ServingEngine::serve_shard(
   // cache across its whole tick range while cross-DIMM batches still fill.
   // Outcome replay order is per-cursor and independent of this loop order,
   // so the byte-identity contract is untouched.
-  const std::size_t cohort_size = std::max<std::size_t>(1, config_.cohort_streams);
-  for (std::size_t cohort = 0; cohort < cursors.size(); cohort += cohort_size) {
+  for (std::size_t cohort = 0; cohort < cursors.size(); cohort += kCohort) {
     const auto cbegin = static_cast<std::uint32_t>(cohort);
     const auto cend = static_cast<std::uint32_t>(
-        std::min(cohort + cohort_size, cursors.size()));
+        std::min(cohort + kCohort, cursors.size()));
   for (SimTime t = start; t <= end; t += cadence) {
     tick_t = t;
     const std::uint64_t t0 = config_.now_ns ? config_.now_ns() : 0;

@@ -72,12 +72,6 @@ struct ServingConfig {
   int num_threads = 0;
   /// Cross-DIMM inference block size.
   std::size_t batch_rows = 64;
-  /// Cache-blocking factor: streams per serving cohort. A cohort advances
-  /// through the whole tick range before the next cohort starts, so its
-  /// extraction states stay cache-resident; larger cohorts fill inference
-  /// batches better, smaller ones stay hotter. Purely a performance knob —
-  /// results are byte-identical at any value.
-  std::size_t cohort_streams = 16;
   /// Bounded per-shard event queue capacity (backpressure unit).
   std::size_t queue_capacity = 4096;
   AdmissionConfig admission;

@@ -14,7 +14,6 @@
 #include <limits>
 #include <vector>
 
-#include "common/histogram.h"
 #include "common/rng.h"
 #include "common/simd.h"
 #include "common/thread_pool.h"
@@ -98,7 +97,6 @@ TEST(SimdDispatch, EverySupportedLaneReportsItsOwnLevel) {
     EXPECT_NE(table->pair_sum, nullptr) << level_name(level);
     EXPECT_NE(table->gini_gain_scan, nullptr) << level_name(level);
     EXPECT_NE(table->bin_transform, nullptr) << level_name(level);
-    EXPECT_NE(table->fixed_bins, nullptr) << level_name(level);
     EXPECT_NE(table->gemm, nullptr) << level_name(level);
     EXPECT_NE(table->gemm_at, nullptr) << level_name(level);
     EXPECT_NE(table->gemm_bt, nullptr) << level_name(level);
@@ -383,30 +381,6 @@ TEST(SimdKernels, GainScanHonorsPaddedContractOnEveryLane) {
     for (int b = 0; b < count; ++b) {
       EXPECT_EQ(std::bit_cast<std::uint64_t>(got[b]),
                 std::bit_cast<std::uint64_t>(ref[b]))
-          << level_name(level) << " bin " << b;
-    }
-  }
-}
-
-TEST(SimdKernels, HistogramAddRangeMatchesRepeatedAdd) {
-  memfp::Rng rng(23);
-  std::vector<double> values;
-  for (int i = 0; i < 700; ++i) {
-    values.push_back(rng.normal() * 3.0);  // includes out-of-range tails
-  }
-  values.push_back(std::numeric_limits<double>::infinity());
-  values.push_back(-std::numeric_limits<double>::infinity());
-
-  for (Level level : supported_levels()) {
-    ScopedLevel active(level);
-    memfp::Histogram bulk(-2.0, 2.0, 37);
-    memfp::Histogram loop(-2.0, 2.0, 37);
-    bulk.add_range(values, 0.75);
-    for (double v : values) loop.add(v, 0.75);
-    ASSERT_EQ(bulk.total(), loop.total()) << level_name(level);
-    for (std::size_t b = 0; b < bulk.bins(); ++b) {
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(bulk.count(b)),
-                std::bit_cast<std::uint64_t>(loop.count(b)))
           << level_name(level) << " bin " << b;
     }
   }

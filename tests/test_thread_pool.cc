@@ -3,11 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <mutex>
-#include <numeric>
 #include <set>
 #include <stdexcept>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -21,24 +20,6 @@ TEST(ThreadPool, StartStopIsClean) {
     ThreadPool pool(4);
     EXPECT_EQ(pool.size(), 4);
   }  // destructor joins without deadlock even when idle
-}
-
-TEST(ThreadPool, SubmittedTasksAllRunBeforeDestruction) {
-  std::atomic<int> count{0};
-  {
-    ThreadPool pool(4);
-    for (int i = 0; i < 200; ++i) {
-      pool.submit([&count] { count.fetch_add(1); });
-    }
-  }  // destructor drains the queues
-  EXPECT_EQ(count.load(), 200);
-}
-
-TEST(ThreadPool, SingleThreadPoolRunsSubmitInline) {
-  ThreadPool pool(1);
-  int ran = 0;
-  pool.submit([&ran] { ++ran; });
-  EXPECT_EQ(ran, 1);  // no workers: synchronous
 }
 
 TEST(ThreadPool, ParallelForCoversEveryIndexExactlyOnce) {
@@ -73,59 +54,28 @@ TEST(ThreadPool, ExceptionPropagatesAndPoolSurvives) {
   EXPECT_EQ(count.load(), 50);
 }
 
-TEST(ThreadPool, ReduceMatchesSerialSum) {
-  ThreadPool pool(4);
-  const std::size_t n = 10000;
-  const auto sum = pool.parallel_reduce(
-      n, std::uint64_t{0},
-      [](std::size_t begin, std::size_t end) {
-        std::uint64_t s = 0;
-        for (std::size_t i = begin; i < end; ++i) s += i;
-        return s;
-      },
-      [](std::uint64_t a, std::uint64_t b) { return a + b; });
-  EXPECT_EQ(sum, n * (n - 1) / 2);
-}
-
-TEST(ThreadPool, ReduceFoldsChunksInOrder) {
-  // String concatenation is non-commutative: any out-of-order fold would
-  // scramble the digits. Run many times to give racy schedules a chance.
-  ThreadPool pool(4);
-  std::string expected;
-  for (int i = 0; i < 26; ++i) expected += static_cast<char>('a' + i);
-  for (int round = 0; round < 20; ++round) {
-    const std::string got = pool.parallel_reduce(
-        26, std::string{},
-        [](std::size_t begin, std::size_t end) {
-          std::string s;
-          for (std::size_t i = begin; i < end; ++i) {
-            s += static_cast<char>('a' + static_cast<int>(i));
-          }
-          return s;
-        },
-        [](std::string a, std::string b) { return a + b; },
-        /*grain=*/3);
-    EXPECT_EQ(got, expected);
-  }
-}
-
 TEST(ThreadPool, ReduceIsIdenticalAcrossThreadCounts) {
-  // Same chunking (grain fixed) => bit-identical floating-point sums.
+  // Same chunking (grain fixed) => one partial per chunk, folded serially in
+  // chunk order => bit-identical floating-point sums at any width.
   ThreadPool pool(4);
   const std::size_t n = 4096;
+  const std::size_t grain = 64;
   const auto run = [&](int limit) {
     ThreadPool::ScopedLimit cap(limit);
-    return pool.parallel_reduce(
-        n, 0.0,
-        [](std::size_t begin, std::size_t end) {
+    std::vector<double> partials((n + grain - 1) / grain);
+    pool.parallel_for_chunks(
+        n,
+        [&](std::size_t begin, std::size_t end) {
           double s = 0.0;
           for (std::size_t i = begin; i < end; ++i) {
             s += 1.0 / (1.0 + static_cast<double>(i));
           }
-          return s;
+          partials[begin / grain] = s;
         },
-        [](double a, double b) { return a + b; },
-        /*grain=*/64);
+        grain);
+    double sum = 0.0;
+    for (const double p : partials) sum += p;
+    return sum;
   };
   const double serial = run(1);
   const double wide = run(4);
@@ -145,6 +95,28 @@ TEST(ThreadPool, ScopedLimitOneForcesCallerThread) {
   EXPECT_EQ(*ids.begin(), std::this_thread::get_id());
 }
 
+TEST(ThreadPool, ScopedLimitCapsDistinctThreads) {
+  // Each chunk sleeps briefly so idle workers have every chance to join:
+  // a cap of 2 must still keep the section on at most 2 threads.
+  ThreadPool pool(4);
+  ThreadPool::ScopedLimit cap(2);
+  for (int round = 0; round < 5; ++round) {
+    std::set<std::thread::id> ids;
+    std::mutex mutex;
+    pool.parallel_for(
+        32,
+        [&](std::size_t) {
+          {
+            std::lock_guard<std::mutex> lock(mutex);
+            ids.insert(std::this_thread::get_id());
+          }
+          std::this_thread::sleep_for(std::chrono::microseconds(200));
+        },
+        /*grain=*/1);
+    EXPECT_LE(ids.size(), 2u) << "round " << round;
+  }
+}
+
 TEST(ThreadPool, ScopedLimitRestoresOnExit) {
   EXPECT_EQ(ThreadPool::current_limit(), 0);
   {
@@ -162,9 +134,9 @@ TEST(ThreadPool, ScopedLimitRestoresOnExit) {
 }
 
 TEST(ThreadPool, NestedParallelSectionsDoNotDeadlock) {
-  // Stress: every outer task opens an inner parallel section, so runner
-  // tasks are submitted from worker threads (nested submission) while the
-  // outer section is still draining.
+  // Stress: every outer chunk opens an inner parallel section, so workers
+  // that joined the outer section open sections of their own while the
+  // outer one is still draining.
   ThreadPool pool(4);
   std::atomic<int> count{0};
   for (int round = 0; round < 10; ++round) {
@@ -179,18 +151,33 @@ TEST(ThreadPool, NestedParallelSectionsDoNotDeadlock) {
   EXPECT_EQ(count.load(), 10 * 8 * 64);
 }
 
-TEST(ThreadPool, NestedSubmissionFromTasks) {
+TEST(ThreadPool, NestedExceptionReachesOuterCaller) {
   ThreadPool pool(4);
-  std::atomic<int> inner{0};
-  pool.parallel_for(16, [&](std::size_t) {
-    for (int i = 0; i < 8; ++i) {
-      pool.submit([&inner] { inner.fetch_add(1); });
-    }
-  });
-  // Fire-and-forget tasks are only guaranteed done once the pool drains.
-  // Run a barriered section to flush, then destroy-free check via spin.
-  while (inner.load() < 16 * 8) std::this_thread::yield();
-  EXPECT_EQ(inner.load(), 16 * 8);
+  EXPECT_THROW(
+      pool.parallel_for(
+          8,
+          [&](std::size_t outer) {
+            pool.parallel_for(
+                64,
+                [&](std::size_t inner) {
+                  if (outer == 5 && inner == 17) {
+                    throw std::runtime_error("inner 5/17");
+                  }
+                },
+                /*grain=*/4);
+          },
+          /*grain=*/1),
+      std::runtime_error);
+  // Both levels still work after the failure.
+  std::atomic<int> count{0};
+  pool.parallel_for(
+      8,
+      [&](std::size_t) {
+        pool.parallel_for(
+            16, [&](std::size_t) { count.fetch_add(1); }, /*grain=*/2);
+      },
+      /*grain=*/1);
+  EXPECT_EQ(count.load(), 8 * 16);
 }
 
 TEST(ThreadPool, DefaultThreadsIsPositive) {

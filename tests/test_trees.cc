@@ -215,6 +215,24 @@ TEST(Tree, FromJsonRejectsNonIntegralOrOutOfRangeFields) {
   }
 }
 
+TEST(TreeDeathTest, PredictRejectsRowNarrowerThanASplitFeature) {
+  // A registry artifact may name any int32 feature; scoring a row too narrow
+  // for it used to read past the row (a SEGV for feature 10^8).
+  const std::vector<float> row(40, 0.0f);
+  const Matrix batch(3, 40);
+  for (const char* feature : {"100000000", "40"}) {
+    const auto model = model_from_json(gbdt_artifact("1", "2", feature));
+    const std::string message =
+        std::string("40 features but a split reads feature ") + feature;
+    EXPECT_DEATH(model->predict(row), message) << feature;
+    EXPECT_DEATH(model->predict_batch(batch), message) << feature;
+  }
+  // The widest row-reading split that fits still scores.
+  const auto model = model_from_json(gbdt_artifact("1", "2", "39"));
+  EXPECT_NO_THROW(model->predict(row));
+  EXPECT_EQ(model->predict_batch(batch).size(), 3u);
+}
+
 TEST(Tree, EmptyTreePredictsZero) {
   const Tree tree;
   const std::vector<float> row{1.0f};

@@ -10,9 +10,10 @@
 #   leg 2  werror    clean -Wall -Wextra -Werror build + full ctest
 #   leg 3  asan      AddressSanitizer + UBSan build, full ctest
 #   leg 4  tsan      ThreadSanitizer build, thread-pool + parallel
-#                    determinism + sharded serving suites (the racy
-#                    surface; the full suite under TSan is ~20x and adds
-#                    no extra coverage)
+#                    determinism + sharded serving suites + GoldenPipeline
+#                    (every pool caller, nested sections included; the
+#                    full suite under TSan is ~20x and adds no extra
+#                    coverage)
 #   leg 5  scalar    full ctest with MEMFP_SIMD=scalar forced: the SIMD
 #                    reference lane stays green on its own, and the
 #                    dispatch-equality suites (Simd*, GoldenModels) re-run
@@ -86,11 +87,11 @@ run_tsan() {
   local dir="$MATRIX_ROOT/tsan"
   configure_and_build "$dir" -DMEMFP_SANITIZE=thread
   # The concurrency surface: the pool itself plus every parallelised path
-  # (fleet sim, forest/GBDT training, scoring, sharded serving) exercised
-  # with >1 thread.
+  # (fleet sim, forest/GBDT training with nested per-feature sections,
+  # scoring, sharded serving, the pipeline stages) exercised with >1 thread.
   TSAN_OPTIONS=halt_on_error=1 \
     ctest --test-dir "$dir" --output-on-failure -j "$JOBS" \
-      -R 'ThreadPool|Parallel|Determinism|Serving'
+      -R 'ThreadPool|Parallel|Determinism|Serving|GoldenPipeline'
 }
 
 run_scalar() {

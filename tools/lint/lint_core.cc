@@ -270,10 +270,7 @@ std::vector<Lambda> parallel_lambdas(const std::vector<Token>& toks) {
   for (std::size_t i = 0; i + 1 < toks.size(); ++i) {
     if (!is_ident(toks[i])) continue;
     const std::string& name = toks[i].text;
-    if (name != "parallel_for" && name != "parallel_for_chunks" &&
-        name != "parallel_reduce") {
-      continue;
-    }
+    if (name != "parallel_for" && name != "parallel_for_chunks") continue;
     if (!is(toks[i + 1], "(")) continue;
     const std::size_t close = match_balanced(toks, i + 1, "(", ")");
     for (std::size_t j = i + 2; j < close; ++j) {
@@ -891,8 +888,9 @@ void rule_parallel_capture(Linter& lint) {
                       "across tasks (captured by reference) and not "
                       "indexed by the induction variable — an "
                       "order-dependent race the byte-identical contract "
-                      "forbids; write into an index-slotted output or use "
-                      "parallel_reduce");
+                      "forbids; write into an index-slotted output, or "
+                      "write one partial per chunk and fold the partials "
+                      "serially in chunk order");
     }
   }
 }

@@ -53,7 +53,7 @@
 //                    metrics or serialized output without an ordering step
 //                    (scope: src/)
 //   parallel-capture inside ThreadPool::parallel_for / parallel_for_chunks
-//                    / parallel_reduce lambda bodies: writes (=, +=, ++,
+//                    lambda bodies: writes (=, +=, ++,
 //                    push_back, emplace_back, ...) to by-reference captures
 //                    that are not indexed by the loop induction variable —
 //                    the shape of every order-dependent race TSan can only
